@@ -11,6 +11,7 @@ import (
 	"testing"
 
 	"netmaster/internal/metrics"
+	"netmaster/internal/reqtrace"
 )
 
 // TestConcurrentLoad hammers the server with a mixed workload from many
@@ -136,37 +137,75 @@ func TestConcurrentLoad(t *testing.T) {
 	}
 }
 
-// TestBackpressure429 fills the admission semaphore by hand and checks
-// the next request is shed with 429 + Retry-After, then admitted again
-// once a slot frees.
+// TestBackpressure429 fills each role's admission semaphore by hand and
+// checks the next request is shed with 429 + Retry-After, counted in
+// <role>_rejected_total and spanned, then admitted again once a slot
+// frees.
 func TestBackpressure429(t *testing.T) {
-	reg := metrics.NewRegistry()
-	s, ts, c := testServer(t, func(cfg *Config) {
-		cfg.MaxInFlight = 2
-		cfg.Metrics = reg
-	})
-	s.sem <- struct{}{}
-	s.sem <- struct{}{}
+	cases := []struct {
+		role string
+		boot func(t *testing.T, reg *metrics.Registry) (url string, sem chan struct{})
+	}{
+		{"server", func(t *testing.T, reg *metrics.Registry) (string, chan struct{}) {
+			s, ts, _ := testServer(t, func(cfg *Config) {
+				cfg.MaxInFlight = 2
+				cfg.Metrics = reg
+			})
+			return ts.URL, s.sem
+		}},
+		{"router", func(t *testing.T, reg *metrics.Registry) (string, chan struct{}) {
+			f := routerFixture(t, 1, nil, func(cfg *RouterConfig) {
+				cfg.MaxInFlight = 2
+				cfg.Metrics = reg
+			})
+			return f.ts.URL, f.rt.sem
+		}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.role, func(t *testing.T) {
+			reg := metrics.NewRegistry()
+			url, sem := tc.boot(t, reg)
+			mine := func() *http.Response {
+				resp, err := http.Post(url+"/v1/mine", "application/json",
+					strings.NewReader(`{"gen": {"user": "volunteer1", "days": 7}}`))
+				if err != nil {
+					t.Fatal(err)
+				}
+				io.Copy(io.Discard, resp.Body)
+				resp.Body.Close()
+				return resp
+			}
+			sem <- struct{}{}
+			sem <- struct{}{}
 
-	resp, err := http.Post(ts.URL+"/v1/mine", "application/json",
-		strings.NewReader(`{"gen": {"user": "volunteer1", "days": 7}}`))
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusTooManyRequests {
-		t.Fatalf("status %d with full semaphore, want 429", resp.StatusCode)
-	}
-	if resp.Header.Get("Retry-After") == "" {
-		t.Error("429 without Retry-After")
-	}
-	if reg.Snapshot().Counters["server_rejected_total"] != 1 {
-		t.Error("rejection not counted")
-	}
+			resp := mine()
+			if resp.StatusCode != http.StatusTooManyRequests {
+				t.Fatalf("status %d with full semaphore, want 429", resp.StatusCode)
+			}
+			if resp.Header.Get("Retry-After") == "" {
+				t.Error("429 without Retry-After")
+			}
+			if got := reg.Snapshot().Counters[tc.role+"_rejected_total"]; got != 1 {
+				t.Errorf("%s_rejected_total = %d, want 1", tc.role, got)
+			}
+			dump, err := NewClient(url, nil).DebugRequests(context.Background(), 10)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if n := len(dump.Recent); n != 1 {
+				t.Fatalf("%d spans after one rejection, want 1", n)
+			}
+			sp := dump.Recent[0]
+			if sp.Role != tc.role || sp.Endpoint != "mine" || sp.Status != http.StatusTooManyRequests ||
+				sp.ErrKind != "overloaded" || sp.RequestID != resp.Header.Get(reqtrace.HeaderRequestID) {
+				t.Errorf("rejection span = %+v", sp)
+			}
 
-	<-s.sem
-	<-s.sem
-	if _, err := c.Healthz(context.Background()); err != nil {
-		t.Fatalf("request rejected after slots freed: %v", err)
+			<-sem
+			<-sem
+			if resp := mine(); resp.StatusCode != http.StatusOK {
+				t.Fatalf("status %d after slots freed, want 200", resp.StatusCode)
+			}
+		})
 	}
 }

@@ -54,39 +54,119 @@ func fakeClock(step time.Duration) func() time.Time {
 	}
 }
 
-// TestGoldenAccessLog pins the access-log and slow-request line shapes:
-// a deterministic clock and a seeded request-ID generator make the
-// emitted JSON byte-stable, so any schema drift shows up as a diff.
+// TestGoldenAccessLog pins the access-log and slow-request line shapes
+// of both roles: a deterministic clock and a seeded request-ID
+// generator make the emitted JSON byte-stable, so any schema drift
+// shows up as a diff.
 func TestGoldenAccessLog(t *testing.T) {
-	logs := &syncBuffer{}
-	s, ts, _ := testServer(t, func(c *Config) {
-		c.LogWriter = logs
-		c.SlowRequest = time.Millisecond // every request also emits a slow line
-	})
-	s.now = fakeClock(5 * time.Millisecond)
-	s.ids = reqtrace.NewIDGenSeeded("cafe0001")
+	t.Run("server", func(t *testing.T) {
+		logs := &syncBuffer{}
+		s, ts, _ := testServer(t, func(c *Config) {
+			c.LogWriter = logs
+			c.SlowRequest = time.Millisecond // every request also emits a slow line
+		})
+		s.now = fakeClock(5 * time.Millisecond)
+		s.ids = reqtrace.NewIDGenSeeded("cafe0001")
 
-	tr := testTrace(t, "volunteer1", 7)
-	mineBody, err := json.Marshal(MineRequest{Trace: tr})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// miss, hit, then a 400: covers the cache disposition and the
-	// error-path line.
-	for i, body := range [][]byte{mineBody, mineBody, []byte(`{}`)} {
-		resp, err := http.Post(ts.URL+"/v1/mine", "application/json", bytes.NewReader(body))
+		tr := testTrace(t, "volunteer1", 7)
+		mineBody, err := json.Marshal(MineRequest{Trace: tr})
 		if err != nil {
 			t.Fatal(err)
 		}
-		io.Copy(io.Discard, resp.Body)
-		resp.Body.Close()
-		if i < 2 && resp.StatusCode != http.StatusOK {
-			t.Fatalf("mine %d: status %d", i, resp.StatusCode)
+		// miss, hit, then a 400: covers the cache disposition and the
+		// error-path line.
+		for i, body := range [][]byte{mineBody, mineBody, []byte(`{}`)} {
+			if code := postStatus(t, ts.URL+"/v1/mine", body, nil); i < 2 && code != http.StatusOK {
+				t.Fatalf("mine %d: status %d", i, code)
+			}
 		}
-	}
+		checkLogGolden(t, "access_log.golden", logs.String())
+	})
 
-	got := logs.String()
-	path := filepath.Join("testdata", "access_log.golden")
+	t.Run("router", func(t *testing.T) {
+		// Shards answer in-process under fixed names, so the routed
+		// shard in the log lines is stable; shard-b is down.
+		shard, _, _ := testServer(t, nil)
+		logs := &syncBuffer{}
+		cfg := DefaultRouterConfig()
+		cfg.Backends = []string{"http://shard-a", "http://shard-b"}
+		cfg.HTTPClient = &http.Client{Transport: inProcess{"shard-a": shard}}
+		cfg.LogWriter = logs
+		cfg.SlowRequest = time.Millisecond
+		rt, err := NewRouter(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rt.now = fakeClock(5 * time.Millisecond)
+		rt.ids = reqtrace.NewIDGenSeeded("cafe0002")
+		ts := httptest.NewServer(rt)
+		t.Cleanup(ts.Close)
+
+		keyOn := func(backend string) string {
+			for i := 0; ; i++ {
+				if k := fmt.Sprintf("dev-%d", i); rt.Ring().Owner(k) == backend {
+					return k
+				}
+			}
+		}
+		mine := []byte(`{"gen": {"user": "volunteer1", "days": 7}}`)
+		// A routed 200, a routed 502 from the down shard, and a 400
+		// the router answers itself.
+		if code := postStatus(t, ts.URL+"/v1/mine", mine, map[string]string{
+			"X-Netmaster-Route-Key": keyOn("http://shard-a")}); code != http.StatusOK {
+			t.Fatalf("routed mine: status %d", code)
+		}
+		if code := postStatus(t, ts.URL+"/v1/mine", mine, map[string]string{
+			"X-Netmaster-Route-Key": keyOn("http://shard-b")}); code != http.StatusBadGateway {
+			t.Fatalf("mine on down shard: status %d", code)
+		}
+		if code := postStatus(t, ts.URL+"/v1/fleet/ingest:batch", []byte(`{"items": []}`), nil); code != http.StatusBadRequest {
+			t.Fatalf("empty batch: status %d", code)
+		}
+		checkLogGolden(t, "access_log_router.golden", logs.String())
+	})
+}
+
+// inProcess is a RoundTripper that serves each backend host straight
+// from an in-process handler; an unknown host is a transport error.
+type inProcess map[string]http.Handler
+
+func (m inProcess) RoundTrip(r *http.Request) (*http.Response, error) {
+	h, ok := m[r.URL.Host]
+	if !ok {
+		return nil, fmt.Errorf("dial %s: connection refused", r.URL.Host)
+	}
+	rec := httptest.NewRecorder()
+	h.ServeHTTP(rec, r)
+	return rec.Result(), nil
+}
+
+// postStatus posts body with the extra headers and returns the status,
+// discarding the response body.
+func postStatus(t *testing.T, url string, body []byte, hdr map[string]string) int {
+	t.Helper()
+	req, err := http.NewRequest(http.MethodPost, url, bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	req.Header.Set("Content-Type", "application/json")
+	for k, v := range hdr {
+		req.Header.Set(k, v)
+	}
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	io.Copy(io.Discard, resp.Body)
+	resp.Body.Close()
+	return resp.StatusCode
+}
+
+// checkLogGolden compares captured log lines with testdata/name,
+// rewriting the file under -update.
+func checkLogGolden(t *testing.T, name, got string) {
+	t.Helper()
+	path := filepath.Join("testdata", name)
 	if *update {
 		if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
 			t.Fatal(err)
