@@ -518,13 +518,7 @@ func (s *Server) fleetMetricDevices() []telemetry.Device {
 // scrape, since a snapshot merges and quantiles exactly where text
 // exposition would have to be re-parsed.
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	if r.URL.Query().Get("format") == "json" {
-		if scope := r.URL.Query().Get("scope"); scope != "self" {
-			writeError(w, &apiError{Code: http.StatusBadRequest, Kind: "bad_request",
-				Msg: "format=json requires scope=self"})
-			return
-		}
-		writeJSON(w, http.StatusOK, s.cfg.Metrics.Snapshot())
+	if s.serveMetricsJSON(w, r) {
 		return
 	}
 	var devs []telemetry.Device
@@ -555,9 +549,7 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 		Devices:  s.Devices(),
 		InFlight: s.InFlight(),
 		Store:    s.storeStatus(),
-	}
-	if st := s.tracker.Status(); st.Status != "" {
-		h.SLO = &st
+		SLO:      s.sloStatus(),
 	}
 	if h.Store != nil && h.Store.Mode == "read_only" {
 		h.Status = "read_only"

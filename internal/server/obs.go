@@ -2,7 +2,7 @@
 // instrumentation handles per endpoint (rate, errors by class,
 // duration, in-flight), the structured access-log line, the
 // slow-request line, and the /debug/requests ring dump. The request
-// spine in server.go/router.go drives these; everything here is
+// spine in edge.go drives these; everything here is
 // observational — response bodies never change, so the handler goldens
 // stay byte-identical.
 package server

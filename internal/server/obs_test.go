@@ -414,7 +414,7 @@ func TestRoutedRequestIDEndToEnd(t *testing.T) {
 	for si, s := range f.shards {
 		snap := s.cfg.Metrics.Snapshot()
 		total := snap.Counters["server_requests_total"]
-		if got := int64(s.ring.Total()); got != total {
+		if got := int64(s.spans.Total()); got != total {
 			t.Errorf("shard %d: ring total %d != server_requests_total %d", si, got, total)
 		}
 		var perEP int64

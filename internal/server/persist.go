@@ -288,12 +288,17 @@ func (s *Server) storeStatus() *StoreStatus {
 	if s.store == nil {
 		return nil
 	}
-	st := &StoreStatus{Mode: "read_write", Seq: s.store.Seq(),
+	return &StoreStatus{Mode: s.journalMode(), Seq: s.store.Seq(),
 		AppendsSinceCompact: s.store.AppendsSinceCompact()}
-	if err := s.store.Unwritable(); err != nil {
-		st.Mode = "read_only"
+}
+
+// journalMode is the durable store's mode, "read_write" or "read_only"
+// once the journal has failed; it requires a state dir.
+func (s *Server) journalMode() string {
+	if s.store.Unwritable() != nil {
+		return "read_only"
 	}
-	return st
+	return "read_write"
 }
 
 // PersistedProfileIDs returns the sorted IDs of every profile currently

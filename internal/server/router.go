@@ -20,16 +20,13 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"net"
 	"net/http"
 	"net/url"
 	"sort"
 	"strconv"
 	"sync"
-	"sync/atomic"
 	"time"
 
-	"netmaster/internal/cfgerr"
 	"netmaster/internal/metrics"
 	"netmaster/internal/parallel"
 	"netmaster/internal/reqtrace"
@@ -90,30 +87,14 @@ func DefaultRouterConfig() RouterConfig {
 // Validate checks the configuration, returning cfgerr field errors.
 // Backend-set errors come from shard.Config's own validation.
 func (c *RouterConfig) Validate() error {
-	var es cfgerr.Errors
-	if c.Addr == "" {
-		es = append(es, cfgerr.New("server.RouterConfig", "Addr", c.Addr, "must be set"))
-	}
-	if c.MaxInFlight <= 0 {
-		es = append(es, cfgerr.New("server.RouterConfig", "MaxInFlight", c.MaxInFlight, "must be positive"))
-	}
-	if c.RequestTimeout <= 0 {
-		es = append(es, cfgerr.New("server.RouterConfig", "RequestTimeout", c.RequestTimeout, "must be positive"))
-	}
-	if c.ShutdownGrace <= 0 {
-		es = append(es, cfgerr.New("server.RouterConfig", "ShutdownGrace", c.ShutdownGrace, "must be positive"))
-	}
-	if c.Parallelism < 0 {
-		es = append(es, cfgerr.New("server.RouterConfig", "Parallelism", c.Parallelism, "must be non-negative"))
-	}
-	if c.SlowRequest < 0 {
-		es = append(es, cfgerr.New("server.RouterConfig", "SlowRequest", c.SlowRequest, "must be non-negative"))
-	}
-	if c.TraceRing < 0 {
-		es = append(es, cfgerr.New("server.RouterConfig", "TraceRing", c.TraceRing, "must be non-negative"))
-	}
-	es = appendSLOErrors(es, c.SLO)
-	return es.Err()
+	return c.edgeConfig().validate("server.RouterConfig").Err()
+}
+
+// edgeConfig is the router's share of the serve-edge settings.
+func (c *RouterConfig) edgeConfig() edgeConfig {
+	return edgeConfig{Addr: c.Addr, MaxInFlight: c.MaxInFlight, RequestTimeout: c.RequestTimeout,
+		ShutdownGrace: c.ShutdownGrace, Parallelism: c.Parallelism, LogWriter: c.LogWriter,
+		Metrics: c.Metrics, SlowRequest: c.SlowRequest, TraceRing: c.TraceRing, SLO: c.SLO}
 }
 
 // ShardHealth is one backend's slice of the router's /healthz.
@@ -136,33 +117,14 @@ type RouterHealthResponse struct {
 
 // Router proxies the /v1/* API across the shard ring.
 type Router struct {
+	*edge
 	cfg    RouterConfig
 	ring   *shard.Ring
-	mux    *http.ServeMux
-	http   *http.Server
-	ln     net.Listener
 	client *http.Client
 
-	sem      chan struct{}
-	inflight atomic.Int64
-
-	// Request observability: span ring, edge request-ID generation, SLO
-	// burn tracking, per-endpoint RED handles, injectable clock.
-	spans   *reqtrace.Ring
-	ids     *reqtrace.IDGen
-	tracker *slo.Tracker
-	obs     map[string]*endpointObs
-	now     func() time.Time
-
-	// router_* instrumentation (nil-tolerant handles).
-	mRequests  *metrics.Counter
-	mErrors    *metrics.Counter
-	mRejected  *metrics.Counter
-	mTimeouts  *metrics.Counter
-	mProxied   *metrics.Counter
-	mFanouts   *metrics.Counter
-	mInflight  *metrics.Gauge
-	mLatencyMS *metrics.Histogram
+	// router_* routing instrumentation (nil-tolerant handles).
+	mProxied *metrics.Counter
+	mFanouts *metrics.Counter
 }
 
 // NewRouter builds a Router from the config. The listener is not opened
@@ -180,29 +142,14 @@ func NewRouter(cfg RouterConfig) (*Router, error) {
 		client = &http.Client{}
 	}
 	rt := &Router{
-		cfg:    cfg,
-		ring:   ring,
-		mux:    http.NewServeMux(),
-		client: client,
-		sem:    make(chan struct{}, cfg.MaxInFlight),
-
-		spans:   reqtrace.NewRing(cfg.TraceRing, 0),
-		ids:     reqtrace.NewIDGen(),
-		tracker: slo.NewTracker(cfg.SLO, cfg.Metrics, "router_"),
-		obs:     make(map[string]*endpointObs),
-		now:     time.Now,
-
-		mRequests:  cfg.Metrics.Counter("router_requests_total"),
-		mErrors:    cfg.Metrics.Counter("router_errors_total"),
-		mRejected:  cfg.Metrics.Counter("router_rejected_total"),
-		mTimeouts:  cfg.Metrics.Counter("router_timeouts_total"),
-		mProxied:   cfg.Metrics.Counter("router_proxied_total"),
-		mFanouts:   cfg.Metrics.Counter("router_fanouts_total"),
-		mInflight:  cfg.Metrics.Gauge("router_in_flight"),
-		mLatencyMS: cfg.Metrics.Histogram("router_latency_ms", LatencyBuckets),
+		edge:     newEdge("router", "router", cfg.edgeConfig()),
+		cfg:      cfg,
+		ring:     ring,
+		client:   client,
+		mProxied: cfg.Metrics.Counter("router_proxied_total"),
+		mFanouts: cfg.Metrics.Counter("router_fanouts_total"),
 	}
 	rt.routes()
-	rt.http = &http.Server{Handler: rt.mux}
 	return rt, nil
 }
 
@@ -222,7 +169,6 @@ func (rt *Router) routes() {
 	rt.mux.HandleFunc("GET /v1/fleet/devices", rt.limited("fleet_devices", rt.handleFleetDevices))
 	rt.mux.HandleFunc("GET /metrics", rt.handleMetrics)
 	rt.mux.HandleFunc("GET /healthz", rt.handleHealthz)
-	rt.mux.HandleFunc("GET /debug/requests", handleDebugRequests(rt.spans))
 }
 
 // ServeHTTP makes the router usable under httptest without a listener.
@@ -232,101 +178,6 @@ func (rt *Router) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 
 // Ring exposes the placement ring (read-only; the Ring is immutable).
 func (rt *Router) Ring() *shard.Ring { return rt.ring }
-
-func (rt *Router) workers() int {
-	if rt.cfg.Parallelism > 0 {
-		return rt.cfg.Parallelism
-	}
-	return parallel.DefaultWorkers()
-}
-
-// limited is the router's request spine: request-ID assignment and
-// propagation, admission, deadline, span capture, RED metrics, SLO
-// tracking and logging — the same contract as the daemon's.
-func (rt *Router) limited(endpoint string, h func(http.ResponseWriter, *http.Request) error) http.HandlerFunc {
-	ep := newEndpointObs(rt.cfg.Metrics, "router_", endpoint)
-	rt.obs[endpoint] = ep
-	return func(w http.ResponseWriter, r *http.Request) {
-		arrive := rt.now()
-		reqID, hop := reqtrace.Incoming(r.Header)
-		if reqID == "" {
-			reqID = rt.ids.Next()
-		}
-		w.Header().Set(reqtrace.HeaderRequestID, reqID)
-		rt.mRequests.Inc()
-		ep.requests.Inc()
-		sp := reqtrace.Span{RequestID: reqID, Role: "router", Endpoint: endpoint,
-			Method: r.Method, Path: r.URL.Path, Hop: hop}
-		select {
-		case rt.sem <- struct{}{}:
-		default:
-			rt.mRejected.Inc()
-			writeError(w, &apiError{Code: http.StatusTooManyRequests,
-				Kind: "overloaded", Msg: "too many requests in flight"})
-			rt.finish(ep, sp, w.Header(), http.StatusTooManyRequests, "overloaded", 0, arrive, arrive)
-			return
-		}
-		rt.mInflight.Set(float64(rt.inflight.Add(1)))
-		ep.enter()
-		start := rt.now()
-		defer func() {
-			<-rt.sem
-			rt.mInflight.Set(float64(rt.inflight.Add(-1)))
-			ep.exit()
-		}()
-
-		ctx, cancel := context.WithTimeout(r.Context(), rt.cfg.RequestTimeout)
-		defer cancel()
-		ctx = reqtrace.WithRequestID(ctx, reqID)
-		sw := &statusWriter{ResponseWriter: w}
-		err := h(sw, r.WithContext(ctx))
-		rt.mLatencyMS.Observe(float64(rt.now().Sub(start).Milliseconds()))
-		errKind := ""
-		if err != nil {
-			rt.mErrors.Inc()
-			var ae *apiError
-			switch {
-			case errors.As(err, &ae):
-			case errors.Is(err, context.DeadlineExceeded):
-				rt.mTimeouts.Inc()
-				ae = &apiError{Code: http.StatusGatewayTimeout,
-					Kind: "timeout", Msg: "request deadline exceeded"}
-			default:
-				ae = &apiError{Code: http.StatusInternalServerError,
-					Kind: "internal", Msg: err.Error()}
-			}
-			writeError(sw, ae)
-			errKind = ae.Kind
-		}
-		rt.finish(ep, sp, sw.Header(), sw.status, errKind, sw.bytes, arrive, start)
-	}
-}
-
-// finish is the router half of Server.finish: span, RED, SLO, slow
-// line and the access-log line (role "router", with the routed shard
-// from the X-Netmaster-Shard response header when one was chosen).
-func (rt *Router) finish(ep *endpointObs, sp reqtrace.Span, hdr http.Header, status int, errKind string, bytes int, arrive, start time.Time) {
-	end := rt.now()
-	sp.Status = status
-	sp.ErrKind = errKind
-	sp.Shard = hdr.Get(reqtrace.HeaderShard)
-	sp.Cache = hdr.Get("X-Netmaster-Cache")
-	sp.QueueWaitMS = durMS(start.Sub(arrive))
-	sp.HandleMS = durMS(end.Sub(start))
-	sp.TotalMS = durMS(end.Sub(arrive))
-	sp.Bytes = bytes
-	ep.finish(status, sp.TotalMS)
-	rt.tracker.Observe(sp.TotalMS, status >= 500)
-	rt.spans.Record(sp)
-	if rt.cfg.SlowRequest > 0 && end.Sub(arrive) >= rt.cfg.SlowRequest {
-		emitLog(rt.cfg.LogWriter, slowLine{SlowRequest: sp})
-	}
-	emitLog(rt.cfg.LogWriter, accessLine{
-		Role: "router", Method: sp.Method, Path: sp.Path, Status: status, Bytes: bytes,
-		Millis: end.Sub(arrive).Milliseconds(), InFlight: rt.inflight.Load(),
-		RequestID: sp.RequestID, Shard: sp.Shard, Cache: sp.Cache, QueueWaitMS: sp.QueueWaitMS,
-	})
-}
 
 // routeProbe is a loose view of any /v1/* request body: just the fields
 // that can carry a routing key.
@@ -409,56 +260,41 @@ func (rt *Router) handleRouted(w http.ResponseWriter, r *http.Request) error {
 	return nil
 }
 
-// getJSON fetches one shard URL into out. hop is the fan-out leg index
-// stamped on the sub-request (with the context's request ID) so the
-// shard's span correlates back to the routed request.
-func (rt *Router) getJSON(ctx context.Context, backend, path string, out any, hop int) error {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, backend+path, nil)
-	if err != nil {
-		return err
+// shardJSON sends one request to a shard — a GET when in is nil, else
+// a JSON POST of in — and decodes the 200 body into out. hop is the
+// fan-out leg index stamped on the sub-request (with the context's
+// request ID) so the shard's span correlates back to the routed
+// request.
+func (rt *Router) shardJSON(ctx context.Context, backend, path string, in, out any, hop int) (http.Header, error) {
+	method, body := http.MethodGet, io.Reader(nil)
+	if in != nil {
+		payload, err := json.Marshal(in)
+		if err != nil {
+			return nil, err
+		}
+		method, body = http.MethodPost, bytes.NewReader(payload)
 	}
-	reqtrace.Propagate(req.Header, reqtrace.RequestID(ctx), hop)
-	resp, err := rt.client.Do(req)
-	if err != nil {
-		return err
-	}
-	defer resp.Body.Close()
-	body, err := io.ReadAll(resp.Body)
-	if err != nil {
-		return err
-	}
-	if resp.StatusCode != http.StatusOK {
-		return fmt.Errorf("status %d: %s", resp.StatusCode, bytes.TrimSpace(body))
-	}
-	return json.Unmarshal(body, out)
-}
-
-// postJSON posts in to one shard URL and decodes the 200 body into
-// out. hop stamps the fan-out leg as in getJSON.
-func (rt *Router) postJSON(ctx context.Context, backend, path string, in, out any, hop int) (http.Header, error) {
-	payload, err := json.Marshal(in)
+	req, err := http.NewRequestWithContext(ctx, method, backend+path, body)
 	if err != nil {
 		return nil, err
 	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, backend+path, bytes.NewReader(payload))
-	if err != nil {
-		return nil, err
+	if in != nil {
+		req.Header.Set("Content-Type", "application/json")
 	}
-	req.Header.Set("Content-Type", "application/json")
 	reqtrace.Propagate(req.Header, reqtrace.RequestID(ctx), hop)
 	resp, err := rt.client.Do(req)
 	if err != nil {
 		return nil, err
 	}
 	defer resp.Body.Close()
-	body, err := io.ReadAll(resp.Body)
+	raw, err := io.ReadAll(resp.Body)
 	if err != nil {
 		return nil, err
 	}
 	if resp.StatusCode != http.StatusOK {
-		return nil, fmt.Errorf("status %d: %s", resp.StatusCode, bytes.TrimSpace(body))
+		return nil, fmt.Errorf("status %d: %s", resp.StatusCode, bytes.TrimSpace(raw))
 	}
-	return resp.Header, json.Unmarshal(body, out)
+	return resp.Header, json.Unmarshal(raw, out)
 }
 
 // shardDumps fans GET /v1/fleet/devices out to every shard and returns
@@ -470,7 +306,7 @@ func (rt *Router) shardDumps(ctx context.Context, query string) ([]DeviceDump, e
 	rt.mFanouts.Inc()
 	per, err := parallel.MapNCtx(ctx, rt.workers(), len(shards), func(i int) ([]DeviceDump, error) {
 		var fd FleetDevicesResponse
-		if err := rt.getJSON(ctx, shards[i], "/v1/fleet/devices"+query, &fd, i+1); err != nil {
+		if _, err := rt.shardJSON(ctx, shards[i], "/v1/fleet/devices"+query, nil, &fd, i+1); err != nil {
 			return nil, errShard(shards[i], err)
 		}
 		return fd.Devices, nil
@@ -494,16 +330,23 @@ func (rt *Router) shardDumps(ctx context.Context, query string) ([]DeviceDump, e
 	return all, nil
 }
 
-func (rt *Router) handleFleetReport(w http.ResponseWriter, r *http.Request) error {
+// forwardQuery re-encodes the named query parameters r sets, for a
+// shard sub-request; "" when none is set.
+func forwardQuery(r *http.Request, keys ...string) string {
 	q := url.Values{}
-	if m := r.URL.Query().Get("model"); m != "" {
-		q.Set("model", m)
+	for _, k := range keys {
+		if v := r.URL.Query().Get(k); v != "" {
+			q.Set(k, v)
+		}
 	}
-	query := ""
-	if len(q) > 0 {
-		query = "?" + q.Encode()
+	if len(q) == 0 {
+		return ""
 	}
-	dumps, err := rt.shardDumps(r.Context(), query)
+	return "?" + q.Encode()
+}
+
+func (rt *Router) handleFleetReport(w http.ResponseWriter, r *http.Request) error {
+	dumps, err := rt.shardDumps(r.Context(), forwardQuery(r, "model"))
 	if err != nil {
 		return err
 	}
@@ -515,18 +358,7 @@ func (rt *Router) handleFleetReport(w http.ResponseWriter, r *http.Request) erro
 }
 
 func (rt *Router) handleFleetDevices(w http.ResponseWriter, r *http.Request) error {
-	q := url.Values{}
-	if m := r.URL.Query().Get("model"); m != "" {
-		q.Set("model", m)
-	}
-	if rep := r.URL.Query().Get("reports"); rep != "" {
-		q.Set("reports", rep)
-	}
-	query := ""
-	if len(q) > 0 {
-		query = "?" + q.Encode()
-	}
-	dumps, err := rt.shardDumps(r.Context(), query)
+	dumps, err := rt.shardDumps(r.Context(), forwardQuery(r, "model", "reports"))
 	if err != nil {
 		return err
 	}
@@ -547,17 +379,11 @@ func (rt *Router) handleFleetDevices(w http.ResponseWriter, r *http.Request) err
 // identical state render byte-identical text. ?format=json&scope=self
 // returns the raw registry snapshot, as on the daemon.
 func (rt *Router) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	ctx, cancel := context.WithTimeout(r.Context(), rt.cfg.RequestTimeout)
-	defer cancel()
-	if r.URL.Query().Get("format") == "json" {
-		if scope := r.URL.Query().Get("scope"); scope != "self" {
-			writeError(w, &apiError{Code: http.StatusBadRequest, Kind: "bad_request",
-				Msg: "format=json requires scope=self"})
-			return
-		}
-		writeJSON(w, http.StatusOK, rt.cfg.Metrics.Snapshot())
+	if rt.serveMetricsJSON(w, r) {
 		return
 	}
+	ctx, cancel := context.WithTimeout(r.Context(), rt.cfg.RequestTimeout)
+	defer cancel()
 	self := telemetry.Device{ID: "router", Snapshot: rt.cfg.Metrics.Snapshot()}
 	fleet := func() ([]telemetry.Device, error) {
 		dumps, err := rt.shardDumps(ctx, "?reports=0")
@@ -617,7 +443,7 @@ func (rt *Router) serveRegistries(ctx context.Context) ([]telemetry.Device, erro
 	shards := rt.ring.Shards()
 	per, err := parallel.MapNCtx(ctx, rt.workers(), len(shards), func(i int) (telemetry.Device, error) {
 		var snap metrics.Snapshot
-		if err := rt.getJSON(ctx, shards[i], "/metrics?format=json&scope=self", &snap, i+1); err != nil {
+		if _, err := rt.shardJSON(ctx, shards[i], "/metrics?format=json&scope=self", nil, &snap, i+1); err != nil {
 			return telemetry.Device{}, errShard(shards[i], err)
 		}
 		return telemetry.Device{ID: shards[i], Snapshot: snap}, nil
@@ -636,7 +462,7 @@ func (rt *Router) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	var mu sync.Mutex
 	parallel.ForEachN(rt.workers(), len(shards), func(i int) error {
 		var sh HealthResponse
-		if err := rt.getJSON(ctx, shards[i], "/healthz", &sh, i+1); err != nil {
+		if _, err := rt.shardJSON(ctx, shards[i], "/healthz", nil, &sh, i+1); err != nil {
 			h.Shards[i] = ShardHealth{Shard: shards[i], Status: "unreachable", Error: err.Error()}
 			return nil
 		}
@@ -652,10 +478,75 @@ func (rt *Router) handleHealthz(w http.ResponseWriter, r *http.Request) {
 			break
 		}
 	}
-	if st := rt.tracker.Status(); st.Status != "" {
-		h.SLO = &st
-	}
+	h.SLO = rt.sloStatus()
 	writeJSON(w, http.StatusOK, h)
+}
+
+// shardReply is one shard's complete answer to its routed sub-batch.
+type shardReply[S any] struct {
+	resp S
+	hdr  http.Header
+}
+
+// fanOutBatch partitions a batch's items across their owning shards,
+// posts one sub-batch per shard in parallel, and stitches the per-item
+// results back into request order. owners[i] is item i's shard; ""
+// leaves out an item whose result is already set. sub builds the
+// sub-request for the shard at position si of the sorted shard list
+// from its item indexes, and got reads a sub-response's results. A
+// shard that cannot be reached, or that answers with the wrong number
+// of results, fails only its own items, each through fail with a
+// bad_gateway error. The replies follow the sorted shard list, nil for
+// a failed shard.
+func fanOutBatch[S, R any](rt *Router, ctx context.Context, path string, owners []string, results []R,
+	sub func(si int, idxs []int) any, got func(*S) []R, fail func(*R, *BatchItemError)) ([]*shardReply[S], error) {
+	byShard := make(map[string][]int)
+	for i, owner := range owners {
+		if owner != "" {
+			byShard[owner] = append(byShard[owner], i)
+		}
+	}
+	shards := make([]string, 0, len(byShard))
+	for s := range byShard {
+		shards = append(shards, s)
+	}
+	sort.Strings(shards)
+
+	rt.mFanouts.Inc()
+	replies := make([]*shardReply[S], len(shards))
+	err := parallel.ForEachNCtx(ctx, rt.workers(), len(shards), func(si int) error {
+		idxs := byShard[shards[si]]
+		var resp S
+		hdr, err := rt.shardJSON(ctx, shards[si], path, sub(si, idxs), &resp, si+1)
+		if err != nil && ctx.Err() != nil {
+			return ctx.Err()
+		}
+		if n := len(got(&resp)); err == nil && n != len(idxs) {
+			err = fmt.Errorf("returned %d results for %d items", n, len(idxs))
+		}
+		if err != nil {
+			e := errShard(shards[si], err)
+			for _, i := range idxs {
+				fail(&results[i], &BatchItemError{Kind: e.Kind, Msg: e.Msg})
+			}
+			return nil
+		}
+		for j, i := range idxs {
+			results[i] = got(&resp)[j]
+		}
+		replies[si] = &shardReply[S]{resp: resp, hdr: hdr}
+		return nil
+	})
+	return replies, err
+}
+
+// pick gathers the items at idxs, in order.
+func pick[T any](items []T, idxs []int) []T {
+	out := make([]T, len(idxs))
+	for j, i := range idxs {
+		out[j] = items[i]
+	}
+	return out
 }
 
 // handleIngestBatch partitions the batch by device owner, fans
@@ -672,70 +563,41 @@ func (rt *Router) handleIngestBatch(w http.ResponseWriter, r *http.Request) erro
 		return &apiError{Code: http.StatusBadRequest, Kind: "bad_request", Msg: "items must be non-empty"}
 	}
 	results := make([]BatchIngestResult, len(req.Items))
-	byShard := make(map[string][]int)
+	owners := make([]string, len(req.Items))
 	for i := range req.Items {
 		results[i].DeviceID = req.Items[i].DeviceID
 		if req.Items[i].DeviceID == "" {
 			results[i].Error = &BatchItemError{Kind: "bad_request", Msg: "device_id must be set"}
 			continue
 		}
-		owner := rt.ring.Owner(req.Items[i].DeviceID)
-		byShard[owner] = append(byShard[owner], i)
+		owners[i] = rt.ring.Owner(req.Items[i].DeviceID)
 	}
-	shards := make([]string, 0, len(byShard))
-	for s := range byShard {
-		shards = append(shards, s)
-	}
-	sort.Strings(shards)
-
-	rt.mFanouts.Inc()
-	devices := atomic.Int64{}
-	allReplayed := atomic.Bool{}
-	allReplayed.Store(len(shards) > 0)
-	err := parallel.ForEachNCtx(r.Context(), rt.workers(), len(shards), func(si int) error {
-		idxs := byShard[shards[si]]
-		sub := BatchIngestRequest{Items: make([]IngestRequest, len(idxs))}
-		if req.RequestID != "" {
-			sub.RequestID = req.RequestID + "#" + strconv.Itoa(si)
-		}
-		for j, i := range idxs {
-			sub.Items[j] = req.Items[i]
-		}
-		var subResp BatchIngestResponse
-		hdr, perr := rt.postJSON(r.Context(), shards[si], "/v1/fleet/ingest:batch", &sub, &subResp, si+1)
-		if perr != nil {
-			if r.Context().Err() != nil {
-				return r.Context().Err()
+	replies, err := fanOutBatch(rt, r.Context(), "/v1/fleet/ingest:batch", owners, results,
+		func(si int, idxs []int) any {
+			sub := BatchIngestRequest{Items: pick(req.Items, idxs)}
+			if req.RequestID != "" {
+				sub.RequestID = req.RequestID + "#" + strconv.Itoa(si)
 			}
-			e := errShard(shards[si], perr)
-			for _, i := range idxs {
-				results[i].Error = &BatchItemError{Kind: e.Kind, Msg: e.Msg}
-			}
-			allReplayed.Store(false)
-			return nil
-		}
-		if len(subResp.Results) != len(idxs) {
-			e := errShard(shards[si], fmt.Errorf("returned %d results for %d items", len(subResp.Results), len(idxs)))
-			for _, i := range idxs {
-				results[i].Error = &BatchItemError{Kind: e.Kind, Msg: e.Msg}
-			}
-			allReplayed.Store(false)
-			return nil
-		}
-		for j, i := range idxs {
-			results[i] = subResp.Results[j]
-		}
-		devices.Add(int64(subResp.Devices))
-		if hdr.Get("X-Netmaster-Idempotent-Replay") != "true" {
-			allReplayed.Store(false)
-		}
-		return nil
-	})
+			return &sub
+		},
+		func(resp *BatchIngestResponse) []BatchIngestResult { return resp.Results },
+		func(res *BatchIngestResult, e *BatchItemError) { res.Error = e })
 	if err != nil {
 		return err
 	}
 
-	resp := BatchIngestResponse{RequestID: req.RequestID, Devices: int(devices.Load()), Results: results}
+	resp := BatchIngestResponse{RequestID: req.RequestID, Results: results}
+	allReplayed := len(replies) > 0
+	for _, rep := range replies {
+		if rep == nil {
+			allReplayed = false
+			continue
+		}
+		resp.Devices += rep.resp.Devices
+		if rep.hdr.Get("X-Netmaster-Idempotent-Replay") != "true" {
+			allReplayed = false
+		}
+	}
 	for i := range results {
 		if results[i].Error == nil {
 			results[i].OK = true
@@ -745,7 +607,7 @@ func (rt *Router) handleIngestBatch(w http.ResponseWriter, r *http.Request) erro
 			resp.Failed++
 		}
 	}
-	if req.RequestID != "" && allReplayed.Load() {
+	if req.RequestID != "" && allReplayed {
 		w.Header().Set("X-Netmaster-Idempotent-Replay", "true")
 	}
 	return writeJSON(w, http.StatusOK, resp)
@@ -779,49 +641,15 @@ func (rt *Router) handleScheduleBatch(w http.ResponseWriter, r *http.Request) er
 		return &apiError{Code: http.StatusBadRequest, Kind: "bad_request", Msg: "items must be non-empty"}
 	}
 	results := make([]BatchScheduleResult, len(req.Items))
-	byShard := make(map[string][]int)
+	owners := make([]string, len(req.Items))
 	for i := range req.Items {
 		results[i].DeviceID = req.Items[i].DeviceID
-		owner := rt.ring.Owner(scheduleItemKey(&req.Items[i]))
-		byShard[owner] = append(byShard[owner], i)
+		owners[i] = rt.ring.Owner(scheduleItemKey(&req.Items[i]))
 	}
-	shards := make([]string, 0, len(byShard))
-	for s := range byShard {
-		shards = append(shards, s)
-	}
-	sort.Strings(shards)
-
-	rt.mFanouts.Inc()
-	err := parallel.ForEachNCtx(r.Context(), rt.workers(), len(shards), func(si int) error {
-		idxs := byShard[shards[si]]
-		sub := BatchScheduleRequest{Items: make([]ScheduleRequest, len(idxs))}
-		for j, i := range idxs {
-			sub.Items[j] = req.Items[i]
-		}
-		var subResp BatchScheduleResponse
-		if _, perr := rt.postJSON(r.Context(), shards[si], "/v1/schedule:batch", &sub, &subResp, si+1); perr != nil {
-			if r.Context().Err() != nil {
-				return r.Context().Err()
-			}
-			e := errShard(shards[si], perr)
-			for _, i := range idxs {
-				results[i].Error = &BatchItemError{Kind: e.Kind, Msg: e.Msg}
-			}
-			return nil
-		}
-		if len(subResp.Results) != len(idxs) {
-			e := errShard(shards[si], fmt.Errorf("returned %d results for %d items", len(subResp.Results), len(idxs)))
-			for _, i := range idxs {
-				results[i].Error = &BatchItemError{Kind: e.Kind, Msg: e.Msg}
-			}
-			return nil
-		}
-		for j, i := range idxs {
-			results[i] = subResp.Results[j]
-		}
-		return nil
-	})
-	if err != nil {
+	if _, err := fanOutBatch(rt, r.Context(), "/v1/schedule:batch", owners, results,
+		func(_ int, idxs []int) any { return &BatchScheduleRequest{Items: pick(req.Items, idxs)} },
+		func(resp *BatchScheduleResponse) []BatchScheduleResult { return resp.Results },
+		func(res *BatchScheduleResult, e *BatchItemError) { res.Error = e }); err != nil {
 		return err
 	}
 	resp := BatchScheduleResponse{Results: results}
@@ -836,30 +664,13 @@ func (rt *Router) handleScheduleBatch(w http.ResponseWriter, r *http.Request) er
 }
 
 // Start opens the listener and serves until Shutdown.
-func (rt *Router) Start() error {
-	ln, err := net.Listen("tcp", rt.cfg.Addr)
-	if err != nil {
-		return fmt.Errorf("router: listen %s: %w", rt.cfg.Addr, err)
-	}
-	rt.ln = ln
-	go rt.http.Serve(ln)
-	return nil
-}
+func (rt *Router) Start() error { return rt.start() }
 
 // Addr returns the bound listen address (useful with ":0").
-func (rt *Router) Addr() string {
-	if rt.ln == nil {
-		return rt.cfg.Addr
-	}
-	return rt.ln.Addr().String()
-}
+func (rt *Router) Addr() string { return rt.addr() }
 
 // Shutdown drains in-flight requests within the configured grace.
-func (rt *Router) Shutdown(ctx context.Context) error {
-	dctx, cancel := context.WithTimeout(ctx, rt.cfg.ShutdownGrace)
-	defer cancel()
-	return rt.http.Shutdown(dctx)
-}
+func (rt *Router) Shutdown(ctx context.Context) error { return rt.shutdown(ctx) }
 
 // InFlight returns the number of requests currently being served.
 func (rt *Router) InFlight() int64 { return rt.inflight.Load() }
