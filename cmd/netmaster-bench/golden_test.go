@@ -137,22 +137,6 @@ func TestBenchServeJSONSchemaPin(t *testing.T) {
 	}
 }
 
-func TestQuantileExactRanks(t *testing.T) {
-	sorted := []float64{1, 2, 3, 4, 5, 6, 7, 8, 9, 10}
-	cases := []struct {
-		q    float64
-		want float64
-	}{{0.5, 5}, {0.9, 9}, {0.99, 10}, {1.0, 10}}
-	for _, c := range cases {
-		if got := quantile(sorted, c.q); got != c.want {
-			t.Errorf("quantile(%.2f) = %v, want %v", c.q, got, c.want)
-		}
-	}
-	if got := quantile(nil, 0.5); got != 0 {
-		t.Errorf("quantile of empty data = %v, want 0", got)
-	}
-}
-
 func TestBatchesCoverEveryIndexOnce(t *testing.T) {
 	seen := map[int]bool{}
 	for _, rng := range batches(1042, 100) {

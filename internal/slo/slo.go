@@ -28,6 +28,7 @@ import (
 
 	"netmaster/internal/cfgerr"
 	"netmaster/internal/metrics"
+	"netmaster/internal/telemetry"
 )
 
 // DefaultWindow is the trailing request-count window when none is set.
@@ -242,7 +243,9 @@ func (t *Tracker) Status() Status {
 // interpolate linearly within it. Observations above the last bound
 // clamp to that bound — the estimator cannot see past its buckets, so
 // the caller should size bounds above the target SLO. Returns 0 for an
-// empty histogram and an error for a malformed q or snapshot.
+// empty histogram and an error for a malformed q or snapshot. The
+// estimate is telemetry.Quantile's, so it matches the fleet export's
+// percentiles over the same buckets.
 func HistogramQuantile(hs metrics.HistogramSnapshot, q float64) (float64, error) {
 	if q <= 0 || q > 1 {
 		return 0, fmt.Errorf("slo: quantile %v out of (0,1]", q)
@@ -250,27 +253,5 @@ func HistogramQuantile(hs metrics.HistogramSnapshot, q float64) (float64, error)
 	if len(hs.Buckets) != len(hs.Bounds) {
 		return 0, fmt.Errorf("slo: snapshot has %d buckets for %d bounds", len(hs.Buckets), len(hs.Bounds))
 	}
-	if hs.Count == 0 {
-		return 0, nil
-	}
-	rank := q * float64(hs.Count)
-	for i, cum := range hs.Buckets {
-		if float64(cum) < rank {
-			continue
-		}
-		upper := hs.Bounds[i]
-		lower := 0.0
-		prev := int64(0)
-		if i > 0 {
-			lower = hs.Bounds[i-1]
-			prev = hs.Buckets[i-1]
-		}
-		inBucket := cum - prev
-		if inBucket <= 0 {
-			return upper, nil
-		}
-		return lower + (upper-lower)*(rank-float64(prev))/float64(inBucket), nil
-	}
-	// Rank lands in the overflow bucket: clamp to the last bound.
-	return hs.Bounds[len(hs.Bounds)-1], nil
+	return telemetry.Quantile(telemetry.HistogramStat{Bounds: hs.Bounds, Buckets: hs.Buckets, Count: hs.Count}, q), nil
 }

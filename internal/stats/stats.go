@@ -181,17 +181,24 @@ func (e *ECDF) Quantile(q float64) float64 {
 	if q < 0 || q > 1 {
 		panic(fmt.Sprintf("stats: quantile %v out of [0,1]", q))
 	}
-	if q == 0 {
-		return e.sorted[0]
+	return QuantileSorted(e.sorted, q)
+}
+
+// QuantileSorted returns the ceil-rank (nearest-rank) order statistic
+// of ascending data: sorted[⌈q·n⌉−1], clamped into the sample, so q=0
+// gives the minimum and q=1 the maximum. It returns 0 for empty data.
+func QuantileSorted(sorted []float64, q float64) float64 {
+	if len(sorted) == 0 {
+		return 0
 	}
-	rank := int(math.Ceil(q*float64(len(e.sorted)))) - 1
+	rank := int(math.Ceil(q*float64(len(sorted)))) - 1
 	if rank < 0 {
 		rank = 0
 	}
-	if rank >= len(e.sorted) {
-		rank = len(e.sorted) - 1
+	if rank >= len(sorted) {
+		rank = len(sorted) - 1
 	}
-	return e.sorted[rank]
+	return sorted[rank]
 }
 
 // Points samples the ECDF at n evenly spaced x positions across the data

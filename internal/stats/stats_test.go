@@ -160,6 +160,32 @@ func TestECDF(t *testing.T) {
 	}
 }
 
+// TestQuantileExactRanks pins the ceil-rank order statistic, including
+// the latency percentiles netmaster-bench reports, and checks that
+// ECDF.Quantile answers the same on a non-empty sample.
+func TestQuantileExactRanks(t *testing.T) {
+	ten := []float64{1, 2, 3, 4, 5, 6, 7, 8, 9, 10}
+	cases := []struct {
+		sorted  []float64
+		q, want float64
+	}{
+		{ten, 0, 1}, {ten, 0.5, 5}, {ten, 0.9, 9}, {ten, 0.99, 10}, {ten, 1.0, 10},
+		{[]float64{1, 2, 2, 3, 10}, 0.5, 2},
+		{[]float64{7}, 0.01, 7},
+		{nil, 0.5, 0},
+	}
+	for _, c := range cases {
+		if got := QuantileSorted(c.sorted, c.q); got != c.want {
+			t.Errorf("QuantileSorted(%v, %.2f) = %v, want %v", c.sorted, c.q, got, c.want)
+		}
+		if len(c.sorted) > 0 {
+			if got := NewECDF(c.sorted).Quantile(c.q); got != c.want {
+				t.Errorf("ECDF(%v).Quantile(%.2f) = %v, want %v", c.sorted, c.q, got, c.want)
+			}
+		}
+	}
+}
+
 func TestECDFMonotoneProperty(t *testing.T) {
 	prop := func(sample [12]float64, a, b float64) bool {
 		for _, v := range sample {
