@@ -14,6 +14,7 @@ import (
 	"time"
 
 	"netmaster/internal/faults"
+	"netmaster/internal/power"
 )
 
 // postRaw posts a JSON body and returns the raw response (body read and
@@ -68,7 +69,7 @@ func TestIngestBatchPartialFailure(t *testing.T) {
 	}
 
 	got := get(t, ts, "/v1/fleet/report")
-	want := offlineFleetDoc(t, []IngestRequest{ingests[0], ingests[1]}, 1)
+	want := offlineFleetDoc(t, []IngestRequest{ingests[0], ingests[1]}, 1, power.Model3G())
 	if !bytes.Equal(got, want) {
 		t.Error("report after batch ingest differs from offline aggregation")
 	}

@@ -1,0 +1,324 @@
+package server
+
+import (
+	"bytes"
+	"context"
+	"fmt"
+	"io"
+	"net/http"
+	"net/http/httptest"
+	"sort"
+	"sync"
+	"testing"
+	"time"
+
+	"netmaster/internal/power"
+	"netmaster/internal/telemetry/analyze"
+)
+
+// fleetState is what each device was last ingested with: the oracle the
+// memoised read path is checked against.
+type fleetState map[string]IngestRequest
+
+func (f fleetState) put(reqs ...IngestRequest) {
+	for _, r := range reqs {
+		f[r.DeviceID] = r
+	}
+}
+
+// sorted returns the current contents in device-ID order.
+func (f fleetState) sorted() []IngestRequest {
+	out := make([]IngestRequest, 0, len(f))
+	for _, r := range f {
+		out = append(out, r)
+	}
+	sort.Slice(out, func(i, j int) bool { return out[i].DeviceID < out[j].DeviceID })
+	return out
+}
+
+// withArtifacts is donor's artifacts re-ingested under dev's ID.
+func withArtifacts(dev, donor IngestRequest) IngestRequest {
+	donor.DeviceID = dev.DeviceID
+	return donor
+}
+
+// truncated is in with a trace header that reports ring overflow, which
+// flips the device's analysis to a truncated trace.
+func truncated(in IngestRequest) IngestRequest {
+	in.Header.Dropped = 3
+	in.Header.Capacity = 10
+	return in
+}
+
+func modelByName(t testing.TB, name string) *power.Model {
+	t.Helper()
+	m, err := powerModel(name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return m
+}
+
+// offlineDevicesDoc is GET /v1/fleet/devices computed straight from the
+// artifacts, ingests in device-ID order.
+func offlineDevicesDoc(t testing.TB, ingests []IngestRequest, m *power.Model, withReports bool) []byte {
+	t.Helper()
+	dumps := make([]DeviceDump, len(ingests))
+	var reports []analyze.DeviceReport
+	if withReports {
+		reports = offlineReports(t, ingests, 1, m)
+	}
+	for i, in := range ingests {
+		dumps[i] = DeviceDump{DeviceID: in.DeviceID, Metrics: in.Metrics}
+		if withReports {
+			dumps[i].Report = &reports[i]
+			dumps[i].DeferSecs = reports[i].DeferSecs()
+		}
+	}
+	b, err := encodeJSON(FleetDevicesResponse{Devices: dumps})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b
+}
+
+// checkFleetReads reads the fleet report and both device dumps under
+// each model in turn; every body must equal the offline fold of the
+// fleet's current contents. It returns the last report read.
+func checkFleetReads(t *testing.T, ts *httptest.Server, cur fleetState, models ...string) []byte {
+	t.Helper()
+	ingests := cur.sorted()
+	var report []byte
+	for _, name := range models {
+		m := modelByName(t, name)
+		report = get(t, ts, "/v1/fleet/report?model="+name)
+		if want := offlineFleetDoc(t, ingests, 1, m); !bytes.Equal(report, want) {
+			t.Errorf("model=%s: live report differs from the offline fold of the current contents\nlive:\n%s\noffline:\n%s",
+				name, report, want)
+		}
+		for _, reports := range []string{"0", "1"} {
+			path := "/v1/fleet/devices?model=" + name + "&reports=" + reports
+			if got, want := get(t, ts, path), offlineDevicesDoc(t, ingests, m, reports == "1"); !bytes.Equal(got, want) {
+				t.Errorf("GET %s differs from the offline dumps of the current contents", path)
+			}
+		}
+	}
+	return report
+}
+
+// TestFleetReadTracksReingest: once both models' reports are memoised,
+// re-ingesting devices with different artifacts — one at a time and in
+// a batch — must show up in the very next read of every fleet surface.
+func TestFleetReadTracksReingest(t *testing.T) {
+	ingests := replayCohort(t, 2)
+	_, ts, c := testServer(t, nil)
+	cur := fleetState{}
+	for _, in := range ingests {
+		if _, err := c.Ingest(context.Background(), in); err != nil {
+			t.Fatal(err)
+		}
+		cur.put(in)
+	}
+	before := checkFleetReads(t, ts, cur, "3g", "lte")
+
+	re := withArtifacts(ingests[0], ingests[1])
+	if _, err := c.Ingest(context.Background(), re); err != nil {
+		t.Fatal(err)
+	}
+	cur.put(re)
+	after := checkFleetReads(t, ts, cur, "lte", "3g")
+	if bytes.Equal(before, after) {
+		t.Fatal("re-ingesting different artifacts left the report unchanged; the oracle proves nothing")
+	}
+
+	items := []IngestRequest{truncated(ingests[1]), withArtifacts(ingests[2], ingests[0])}
+	resp, err := c.IngestBatch(context.Background(), BatchIngestRequest{Items: items})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp.Accepted != len(items) {
+		t.Fatalf("batch accepted %d of %d items", resp.Accepted, len(items))
+	}
+	cur.put(items...)
+	checkFleetReads(t, ts, cur, "3g", "lte")
+}
+
+// TestFleetReadTracksReingestDurable: a daemon restarted on its state
+// dir analyses the recovered fleet afresh, and re-ingests after the
+// restart invalidate those reports like any other.
+func TestFleetReadTracksReingestDurable(t *testing.T) {
+	ingests := replayCohort(t, 2)
+	dir := t.TempDir()
+	s1, ts1, c1, err := durableServer(t, dir, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cur := fleetState{}
+	for _, in := range ingests {
+		if _, err := c1.Ingest(context.Background(), in); err != nil {
+			t.Fatal(err)
+		}
+		cur.put(in)
+	}
+	checkFleetReads(t, ts1, cur, "3g", "lte")
+	if err := s1.Close(); err != nil {
+		t.Fatal(err)
+	}
+	ts1.Close()
+
+	_, ts2, c2, err := durableServer(t, dir, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkFleetReads(t, ts2, cur, "lte", "3g")
+	re := truncated(withArtifacts(ingests[0], ingests[1]))
+	if _, err := c2.Ingest(context.Background(), re); err != nil {
+		t.Fatal(err)
+	}
+	cur.put(re)
+	items := []IngestRequest{withArtifacts(ingests[1], ingests[2])}
+	if _, err := c2.IngestBatch(context.Background(), BatchIngestRequest{Items: items}); err != nil {
+		t.Fatal(err)
+	}
+	cur.put(items...)
+	checkFleetReads(t, ts2, cur, "3g", "lte")
+}
+
+// TestFleetReadConcurrentReingest: readers hammer the fleet surfaces
+// while a writer keeps re-ingesting every device with new artifacts. A
+// report analysed from a device's old contents must never be served for
+// its new ones: after every write, and once the writer stops, the
+// report equals the offline fold of what was last written. Run under
+// -race.
+func TestFleetReadConcurrentReingest(t *testing.T) {
+	ingests := replayCohort(t, 2)
+	s, ts, c := testServer(t, nil)
+	cur := fleetState{}
+	for _, in := range ingests {
+		if _, err := c.Ingest(context.Background(), in); err != nil {
+			t.Fatal(err)
+		}
+		cur.put(in)
+	}
+
+	paths := []string{
+		"/v1/fleet/report?model=3g",
+		"/v1/fleet/report?model=lte",
+		"/v1/fleet/devices?model=lte",
+		"/v1/fleet/devices?model=3g&reports=0",
+	}
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	var once sync.Once
+	stopReaders := func() { once.Do(func() { close(stop); wg.Wait() }) }
+	defer stopReaders()
+	for r := 0; r < 3; r++ {
+		wg.Add(1)
+		go func(r int) {
+			defer wg.Done()
+			for i := r; ; i++ {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				resp, err := http.Get(ts.URL + paths[i%len(paths)])
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				io.Copy(io.Discard, resp.Body)
+				resp.Body.Close()
+				if resp.StatusCode != http.StatusOK {
+					t.Errorf("GET %s: status %d", paths[i%len(paths)], resp.StatusCode)
+					return
+				}
+			}
+		}(r)
+	}
+
+	// Each round writes twice, a few hundred microseconds apart: readers
+	// that missed on the first write are still analysing it when the
+	// second lands, and must not publish what they analysed for the
+	// second's contents. Writes go straight to applyIngest, the commit
+	// point every ingest path shares, so the second one lands inside
+	// that window rather than after a request decode. The check runs
+	// once the readers have settled.
+	n := len(ingests)
+	models := []string{"3g", "lte"}
+	write := func(version int) {
+		for k, in := range ingests {
+			next := withArtifacts(in, ingests[(k+version)%n])
+			if version%2 == 0 {
+				next = truncated(next)
+			}
+			s.applyIngest(&next)
+			cur.put(next)
+		}
+	}
+	for round := 1; round <= 24; round++ {
+		write(2 * round)
+		time.Sleep(time.Duration(round%5) * 200 * time.Microsecond)
+		write(2*round + 1)
+		time.Sleep(5 * time.Millisecond)
+		m := models[round%2]
+		if got, want := get(t, ts, "/v1/fleet/report?model="+m), offlineFleetDoc(t, cur.sorted(), 1, modelByName(t, m)); !bytes.Equal(got, want) {
+			t.Fatalf("round %d, model=%s: report under concurrent reads differs from the offline fold of the last write", round, m)
+		}
+	}
+	stopReaders()
+	checkFleetReads(t, ts, cur, "3g", "lte")
+}
+
+// BenchmarkFleetReport is the in-process fleet-read rung: GET
+// /v1/fleet/report over 100 devices, after re-ingesting either every
+// device (changed=all: every report is analysed afresh, the cost of a
+// read before per-device memoisation) or 4 of them (changed=4%: the
+// steady state under a trickle of writes). Re-ingests run off the
+// clock; the first read must equal the offline fold byte for byte.
+func BenchmarkFleetReport(b *testing.B) {
+	const devices = 100
+	base := replayCohort(b, 1)
+	fleet := make([]IngestRequest, devices)
+	for i := range fleet {
+		fleet[i] = base[i%len(base)]
+		fleet[i].DeviceID = fmt.Sprintf("dev-%03d", i)
+	}
+	s, err := New(DefaultConfig())
+	if err != nil {
+		b.Fatal(err)
+	}
+	for i := range fleet {
+		s.applyIngest(&fleet[i])
+	}
+	read := func(b *testing.B) []byte {
+		rec := httptest.NewRecorder()
+		s.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/v1/fleet/report", nil))
+		if rec.Code != http.StatusOK {
+			b.Fatalf("fleet report: status %d: %s", rec.Code, rec.Body.Bytes())
+		}
+		return rec.Body.Bytes()
+	}
+	if !bytes.Equal(read(b), offlineFleetDoc(b, fleet, 1, power.Model3G())) {
+		b.Fatal("live fleet report differs from the offline fold")
+	}
+
+	for _, bc := range []struct {
+		name    string
+		changed int
+	}{{"changed=all", devices}, {"changed=4%", devices * 4 / 100}} {
+		b.Run(bc.name, func(b *testing.B) {
+			b.ReportAllocs()
+			next := 0
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				for k := 0; k < bc.changed; k++ {
+					s.applyIngest(&fleet[next])
+					next = (next + 1) % devices
+				}
+				b.StartTimer()
+				read(b)
+			}
+		})
+	}
+}

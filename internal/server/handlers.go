@@ -489,22 +489,17 @@ func (s *Server) handleFleetDevices(w http.ResponseWriter, r *http.Request) erro
 	if err != nil {
 		return err
 	}
-	if dumps == nil {
-		dumps = []DeviceDump{}
-	}
 	return writeJSON(w, http.StatusOK, FleetDevicesResponse{Devices: dumps})
 }
 
 // fleetMetricDevices snapshots the ingested devices that carry metrics.
 func (s *Server) fleetMetricDevices() []telemetry.Device {
-	s.fleetMu.Lock()
-	defer s.fleetMu.Unlock()
 	var devs []telemetry.Device
-	for id, d := range s.fleet {
+	s.eachDevice(func(id string, d *ingested) {
 		if d.metrics != nil {
 			devs = append(devs, telemetry.Device{ID: id, Snapshot: *d.metrics})
 		}
-	}
+	})
 	return devs
 }
 

@@ -151,11 +151,12 @@ func (s *Server) openStore() error {
 	return nil
 }
 
-// applyIngest folds one ingest into the fleet map (replay path; the
-// live path in handleIngest goes through the same assignment).
+// applyIngest folds one ingest into the fleet map. Every ingest path —
+// single, batch and recovery replay — goes through it, and the fresh
+// *ingested it stores carries no analysis memo.
 func (s *Server) applyIngest(req *IngestRequest) {
 	s.fleetMu.Lock()
-	s.fleet[req.DeviceID] = ingested{metrics: req.Metrics, header: req.Header, events: req.Events}
+	s.fleet[req.DeviceID] = &ingested{metrics: req.Metrics, header: req.Header, events: req.Events}
 	s.fleetMu.Unlock()
 }
 
@@ -253,18 +254,10 @@ func (s *Server) maybeCompact() {
 // callers hold stateMu (or are still single-threaded inside New).
 func (s *Server) compactLocked() error {
 	doc := snapshotDoc{Devices: []snapshotDevice{}, Profiles: []snapshotProfile{}}
-	s.fleetMu.Lock()
-	ids := make([]string, 0, len(s.fleet))
-	for id := range s.fleet {
-		ids = append(ids, id)
-	}
-	sort.Strings(ids)
-	for _, id := range ids {
-		d := s.fleet[id]
+	s.eachDevice(func(id string, d *ingested) {
 		req := &IngestRequest{DeviceID: id, Metrics: d.metrics, Header: d.header, Events: d.events}
 		doc.Devices = append(doc.Devices, snapshotDevice{DeviceID: id, Ingest: req})
-	}
-	s.fleetMu.Unlock()
+	})
 	s.persisted.each(func(key string, val any) {
 		doc.Profiles = append(doc.Profiles, snapshotProfile{ID: key, Sketch: val.([]byte)})
 	})

@@ -3,7 +3,6 @@ package server
 import (
 	"bytes"
 	"context"
-	"encoding/json"
 	"testing"
 
 	"netmaster/internal/metrics"
@@ -19,7 +18,7 @@ import (
 // replayCohort replays the eval cohort online, producing exactly the
 // observability artifacts netmaster-sim writes to an -obs-dir — but in
 // memory, ready to ship to /v1/fleet/ingest.
-func replayCohort(t *testing.T, days int) []IngestRequest {
+func replayCohort(t testing.TB, days int) []IngestRequest {
 	t.Helper()
 	model := power.Model3G()
 	var out []IngestRequest
@@ -47,36 +46,40 @@ func replayCohort(t *testing.T, days int) []IngestRequest {
 	return out
 }
 
-// offlineFleetDoc computes the fleet report the way the batch pipeline
-// (netmaster-analyze) does, straight from the artifacts — no server.
-func offlineFleetDoc(t *testing.T, ingests []IngestRequest, workers int) []byte {
+// offlineReports analyses each device's artifacts straight through
+// analyze.Device under model m — no server.
+func offlineReports(t testing.TB, ingests []IngestRequest, workers int, m *power.Model) []analyze.DeviceReport {
 	t.Helper()
 	acfg := analyze.DefaultConfig()
-	acfg.ActivePowerMW = power.Model3G().ActivePowerMW
-	ins := make([]analyze.DeviceInput, len(ingests))
-	var devs []telemetry.Device
-	for i, in := range ingests {
-		ins[i] = analyze.DeviceInput{ID: in.DeviceID, Header: in.Header, Events: in.Events, Metrics: in.Metrics}
-		devs = append(devs, telemetry.Device{ID: in.DeviceID, Snapshot: *in.Metrics})
-	}
-	reports, err := parallel.MapN(workers, len(ins), func(i int) (analyze.DeviceReport, error) {
-		return analyze.Device(ins[i], acfg), nil
+	acfg.ActivePowerMW = m.ActivePowerMW
+	reports, err := parallel.MapN(workers, len(ingests), func(i int) (analyze.DeviceReport, error) {
+		in := ingests[i]
+		return analyze.Device(analyze.DeviceInput{ID: in.DeviceID, Header: in.Header, Events: in.Events, Metrics: in.Metrics}, acfg), nil
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
+	return reports
+}
+
+// offlineFleetDoc computes the fleet report the way the batch pipeline
+// (netmaster-analyze) does, straight from the artifacts — no server.
+func offlineFleetDoc(t testing.TB, ingests []IngestRequest, workers int, m *power.Model) []byte {
+	t.Helper()
+	var devs []telemetry.Device
+	for _, in := range ingests {
+		devs = append(devs, telemetry.Device{ID: in.DeviceID, Snapshot: *in.Metrics})
+	}
+	reports := offlineReports(t, ingests, workers, m)
 	agg, err := telemetry.AggregateParallel(workers, devs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	doc := FleetReportResponse{Metrics: agg.Export(), Analysis: analyze.Fleet(reports)}
-	var buf bytes.Buffer
-	enc := json.NewEncoder(&buf)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(doc); err != nil {
+	b, err := encodeJSON(FleetReportResponse{Metrics: agg.Export(), Analysis: analyze.Fleet(reports)})
+	if err != nil {
 		t.Fatal(err)
 	}
-	return buf.Bytes()
+	return b
 }
 
 // TestIngestReportRoundTrip: ingesting a cohort's artifacts over the
@@ -106,7 +109,7 @@ func TestIngestReportRoundTrip(t *testing.T) {
 
 	live := get(t, ts, "/v1/fleet/report")
 	for _, workers := range []int{1, 8} {
-		offline := offlineFleetDoc(t, ingests, workers)
+		offline := offlineFleetDoc(t, ingests, workers, power.Model3G())
 		if !bytes.Equal(live, offline) {
 			t.Errorf("live report differs from offline aggregation (offline workers=%d)\nlive:\n%s\noffline:\n%s",
 				workers, live, offline)

@@ -131,11 +131,19 @@ func (c *Config) edgeConfig() edgeConfig {
 		Metrics: c.Metrics, SlowRequest: c.SlowRequest, TraceRing: c.TraceRing, SLO: c.SLO}
 }
 
-// ingested is one device's artifacts as received on /v1/fleet/ingest.
+// ingested is one device's artifacts as received on /v1/fleet/ingest,
+// plus the memo of its analysis. Every ingest path stores a fresh
+// *ingested, so re-ingesting a device drops its memo by construction.
+// The artifacts never change after the store; reports is read and
+// written under fleetMu only.
 type ingested struct {
 	metrics *metrics.Snapshot
 	header  tracing.Header
 	events  []tracing.Event
+	// reports holds analyze.Device's answer per analysis config — one
+	// entry per power model read so far, at most two. Memoised reports
+	// are shared by every later read and never mutated.
+	reports map[analyze.Config]*analyze.DeviceReport
 }
 
 // Server is the daemon: an http.Handler plus the state behind it.
@@ -148,7 +156,7 @@ type Server struct {
 	batchAcks *lru // batch request_id → ack bytes (idempotent replay)
 
 	fleetMu sync.Mutex
-	fleet   map[string]ingested
+	fleet   map[string]*ingested
 
 	// Durable state (nil store without Config.StateDir). stateMu
 	// serialises journal-append + in-memory apply + compaction so a
@@ -185,7 +193,7 @@ func New(cfg Config) (*Server, error) {
 		profiles:  newLRU(cfg.CacheSize),
 		aliases:   newLRU(cfg.CacheSize),
 		batchAcks: newLRU(cfg.CacheSize),
-		fleet:     make(map[string]ingested),
+		fleet:     make(map[string]*ingested),
 
 		mCacheHit:  cfg.Metrics.Counter("server_cache_hits_total"),
 		mCacheMiss: cfg.Metrics.Counter("server_cache_misses_total"),
@@ -295,10 +303,32 @@ func (s *Server) Devices() int {
 	return len(s.fleet)
 }
 
+// eachDevice calls visit on every ingested device in sorted-ID order,
+// inside one fleetMu critical section. It is the one snapshot shape of
+// the fleet, so visit must stay cheap: it copies what it needs and
+// never analyses.
+func (s *Server) eachDevice(visit func(id string, d *ingested)) {
+	s.fleetMu.Lock()
+	defer s.fleetMu.Unlock()
+	ids := make([]string, 0, len(s.fleet))
+	for id := range s.fleet {
+		ids = append(ids, id)
+	}
+	sort.Strings(ids)
+	for _, id := range ids {
+		visit(id, s.fleet[id])
+	}
+}
+
 // deviceDumps snapshots the ingested fleet in sorted-ID order: each
 // device's raw metrics plus (optionally) its analyzed report. This is
 // the shard's contribution to a routed fleet report — the router fetches
 // dumps from every shard and folds them with fleetDocFromDumps.
+//
+// Reports come from each device's memo; only devices ingested since
+// they were last analysed under this config run analyze.Device, outside
+// the lock. A fresh report is published to the memo only if the device
+// was not re-ingested meanwhile, so a newer ingest always wins.
 func (s *Server) deviceDumps(model string, withReports bool) ([]DeviceDump, error) {
 	acfg := analyze.DefaultConfig()
 	m, err := powerModel(model)
@@ -307,32 +337,48 @@ func (s *Server) deviceDumps(model string, withReports bool) ([]DeviceDump, erro
 	}
 	acfg.ActivePowerMW = m.ActivePowerMW
 
-	s.fleetMu.Lock()
-	ids := make([]string, 0, len(s.fleet))
-	for id := range s.fleet {
-		ids = append(ids, id)
+	type miss struct {
+		i int // index into dumps
+		d *ingested
 	}
-	sort.Strings(ids)
-	ins := make([]analyze.DeviceInput, len(ids))
-	dumps := make([]DeviceDump, len(ids))
-	for i, id := range ids {
-		d := s.fleet[id]
-		ins[i] = analyze.DeviceInput{ID: id, Header: d.header, Events: d.events, Metrics: d.metrics}
-		dumps[i] = DeviceDump{DeviceID: id, Metrics: d.metrics}
+	dumps := []DeviceDump{}
+	var misses []miss
+	s.eachDevice(func(id string, d *ingested) {
+		dump := DeviceDump{DeviceID: id, Metrics: d.metrics}
+		if withReports {
+			if dump.Report = d.reports[acfg]; dump.Report == nil {
+				misses = append(misses, miss{len(dumps), d})
+			}
+		}
+		dumps = append(dumps, dump)
+	})
+	if !withReports {
+		return dumps, nil
 	}
-	s.fleetMu.Unlock()
 
-	if withReports {
-		reports, err := parallel.MapN(s.workers(), len(ins), func(i int) (analyze.DeviceReport, error) {
-			return analyze.Device(ins[i], acfg), nil
+	if len(misses) > 0 {
+		fresh, err := parallel.MapN(s.workers(), len(misses), func(k int) (*analyze.DeviceReport, error) {
+			m := misses[k]
+			rep := analyze.Device(analyze.DeviceInput{ID: dumps[m.i].DeviceID, Header: m.d.header, Events: m.d.events, Metrics: m.d.metrics}, acfg)
+			return &rep, nil
 		})
 		if err != nil {
 			return nil, err
 		}
-		for i := range dumps {
-			dumps[i].Report = &reports[i]
-			dumps[i].DeferSecs = reports[i].DeferSecs()
+		s.fleetMu.Lock()
+		for k, m := range misses {
+			dumps[m.i].Report = fresh[k]
+			if s.fleet[dumps[m.i].DeviceID] == m.d {
+				if m.d.reports == nil {
+					m.d.reports = make(map[analyze.Config]*analyze.DeviceReport, 1)
+				}
+				m.d.reports[acfg] = fresh[k]
+			}
 		}
+		s.fleetMu.Unlock()
+	}
+	for i := range dumps {
+		dumps[i].DeferSecs = dumps[i].Report.DeferSecs()
 	}
 	return dumps, nil
 }

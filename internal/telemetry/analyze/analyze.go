@@ -538,7 +538,8 @@ func (f FleetReport) Errors() int {
 }
 
 // Fleet combines device reports. Input order does not matter: devices
-// are folded in sorted-ID order.
+// are folded in sorted-ID order. Fleet never mutates its inputs, so one
+// report may be shared by any number of concurrent folds.
 func Fleet(reports []DeviceReport) FleetReport {
 	sorted := append([]DeviceReport(nil), reports...)
 	sort.Slice(sorted, func(i, j int) bool { return sorted[i].Device < sorted[j].Device })

@@ -257,3 +257,53 @@ func TestAttributionMatchesReplayCountersExactly(t *testing.T) {
 		}
 	}
 }
+
+// deepCopy clones a report, slices included, so later writes through
+// the original's backing arrays cannot reach the copy.
+func deepCopy(r DeviceReport) DeviceReport {
+	c := r
+	c.Apps = append([]AppEnergy(nil), r.Apps...)
+	c.Slots = append([]SlotScore(nil), r.Slots...)
+	c.Findings = append([]Finding(nil), r.Findings...)
+	c.deferSecs = append([]float64(nil), r.deferSecs...)
+	return c
+}
+
+// TestFleetLeavesInputsUntouched pins the read-only contract callers
+// rely on to share one memoised report across concurrent fleet folds:
+// after Fleet, every input report is deep-equal to a copy taken before.
+func TestFleetLeavesInputsUntouched(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.ActivePowerMW = power.Model3G().ActivePowerMW
+	var reports []DeviceReport
+	for _, spec := range synth.EvalCohort() {
+		tr, err := synth.Generate(spec, 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sink := tracing.NewSink(0)
+		rcfg := middleware.DefaultReplayConfig(power.Model3G())
+		rcfg.Service.Tracing = sink
+		if _, err := middleware.Replay(tr, rcfg); err != nil {
+			t.Fatal(err)
+		}
+		reports = append(reports, Device(DeviceInput{ID: spec.ID, Header: sink.Header(), Events: sink.Events()}, cfg))
+	}
+	// Out of ID order, with findings and without deferrals, so the sort,
+	// the findings concatenation and the pooled waits all run.
+	reports = append(reports, Device(DeviceInput{ID: "a-unordered", Events: []tracing.Event{
+		ev(5, 10, tracing.KindDutyWake, nil),
+		ev(3, 20, tracing.KindDutyWake, nil),
+	}}, cfg))
+	before := make([]DeviceReport, len(reports))
+	for i, r := range reports {
+		before[i] = deepCopy(r)
+	}
+	if len(before[0].deferSecs) == 0 || len(before[len(before)-1].Findings) == 0 {
+		t.Fatal("fixture lacks deferrals or findings")
+	}
+	Fleet(reports)
+	if !reflect.DeepEqual(reports, before) {
+		t.Fatal("Fleet mutated its input reports")
+	}
+}
