@@ -3,6 +3,7 @@ package server
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
@@ -268,6 +269,246 @@ func TestFleetReadConcurrentReingest(t *testing.T) {
 	}
 	stopReaders()
 	checkFleetReads(t, ts, cur, "3g", "lte")
+}
+
+// readTier is one role of the serve tier under a fleet-read test: the
+// server and client to read through, and the daemons that hold the
+// per-device memo.
+type readTier struct {
+	name    string
+	ts      *httptest.Server
+	client  *Client
+	daemons []*Server
+}
+
+// readTiers boots a single node and a 2-shard router, each empty.
+func readTiers(t *testing.T) []readTier {
+	t.Helper()
+	s, ts, c := testServer(t, nil)
+	f := routerFixture(t, 2, nil, nil)
+	return []readTier{
+		{"single", ts, c, []*Server{s}},
+		{"router", f.ts, f.client, f.shards},
+	}
+}
+
+// memoEntries is how many analyses the daemon holding id has memoised
+// for it, or -1 when no daemon holds it.
+func memoEntries(daemons []*Server, id string) int {
+	for _, s := range daemons {
+		s.fleetMu.Lock()
+		d, n := s.fleet[id], -1
+		if d != nil {
+			n = len(d.reports)
+		}
+		s.fleetMu.Unlock()
+		if d != nil {
+			return n
+		}
+	}
+	return -1
+}
+
+// TestFleetReportSpliceEdgeCases: the report handlers encode only the
+// document head and splice per_device entries into it. On a single node
+// and through a 2-shard router, every read must still equal the offline
+// fold, which encodes the whole document in one pass: for an empty
+// fleet, one device, device IDs that JSON escapes, both models of the
+// same devices, and a re-ingest between reads.
+func TestFleetReportSpliceEdgeCases(t *testing.T) {
+	base := replayCohort(t, 2)
+	named := func(id string, donor IngestRequest) IngestRequest {
+		return withArtifacts(IngestRequest{DeviceID: id}, donor)
+	}
+	for _, tier := range readTiers(t) {
+		t.Run(tier.name, func(t *testing.T) {
+			cur := fleetState{}
+			ingest := func(reqs ...IngestRequest) {
+				t.Helper()
+				for _, in := range reqs {
+					if _, err := tier.client.Ingest(context.Background(), in); err != nil {
+						t.Fatal(err)
+					}
+					cur.put(in)
+				}
+			}
+			read := func(step string, models ...string) []byte {
+				t.Helper()
+				var got []byte
+				for _, name := range models {
+					got = get(t, tier.ts, "/v1/fleet/report?model="+name)
+					if want := offlineFleetDoc(t, cur.sorted(), 1, modelByName(t, name)); !bytes.Equal(got, want) {
+						t.Errorf("%s, model=%s: live report differs from the offline fold\nlive:\n%s\noffline:\n%s",
+							step, name, got, want)
+					}
+				}
+				return got
+			}
+
+			if got := read("empty fleet", "3g", "lte"); !bytes.Contains(got, []byte(`"per_device": null`)) {
+				t.Errorf("empty fleet: per_device is not null:\n%s", got)
+			}
+
+			ingest(named("solo", base[0]))
+			read("one device", "3g")
+
+			ingest(named("a<b&c", base[1]), named("dév-ü", base[2]))
+			got := read("escaped IDs", "3g", "lte")
+			for _, want := range []string{`"device": "a\u003cb\u0026c"`, `"device": "dév-ü"`} {
+				if !bytes.Contains(got, []byte(want)) {
+					t.Errorf("escaped IDs: report lacks %s", want)
+				}
+			}
+			for _, id := range []string{"solo", "a<b&c", "dév-ü"} {
+				if n := memoEntries(tier.daemons, id); n != 2 {
+					t.Errorf("device %q: %d memoised analyses after 3g and lte reads, want 2", id, n)
+				}
+			}
+
+			ingest(truncated(named("a<b&c", base[0])))
+			if n := memoEntries(tier.daemons, "a<b&c"); n != 0 {
+				t.Errorf("re-ingested device kept %d memoised analyses", n)
+			}
+			read("re-ingest", "lte", "3g")
+		})
+	}
+}
+
+// TestSplicePerDeviceRefusesUnexpectedHead: when the encoded head does
+// not end in the null per_device the splice replaces, or entries and
+// reports disagree in number, the helper returns an error rather than a
+// malformed document.
+func TestSplicePerDeviceRefusesUnexpectedHead(t *testing.T) {
+	entries := [][]byte{[]byte("{}"), []byte("{}")}
+	for _, head := range []string{
+		"",
+		"{}\n",
+		`{"analysis":{"per_device":null}}` + "\n",
+		"{\n  \"analysis\": {\n    \"per_device\": []\n  }\n}\n",
+		"{\n  \"analysis\": {\n    \"per_device\": null\n  }\n}",
+		"{\n  \"analysis\": {\n    \"per_device\": null\n  },\n  \"more\": 1\n}\n",
+	} {
+		if out, err := splicePerDevice([]byte(head), entries); err == nil || out != nil {
+			t.Errorf("head %q: got %q, %v; want no bytes and an error", head, out, err)
+		}
+	}
+
+	head := "{\n  \"analysis\": {\n    \"per_device\": null\n  }\n}\n"
+	out, err := splicePerDevice([]byte(head), entries)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := "{\n  \"analysis\": {\n    \"per_device\": [\n      {},\n      {}\n    ]\n  }\n}\n"
+	if string(out) != want || !json.Valid(out) {
+		t.Errorf("spliced document:\n%s\nwant:\n%s", out, want)
+	}
+
+	if out, err := encodeFleetDoc(FleetReportResponse{}, entries); err == nil {
+		t.Errorf("2 entries for 0 per_device reports: got %q, want an error", out)
+	}
+}
+
+// TestFleetReadRejectsBadParams: an unknown ?reports= or ?model= on the
+// fleet read endpoints is a 400 bad_request on both roles. The router
+// refuses it before fanning out, so no shard sees the request.
+func TestFleetReadRejectsBadParams(t *testing.T) {
+	for _, tier := range readTiers(t) {
+		t.Run(tier.name, func(t *testing.T) {
+			spans := func() (n uint64) {
+				for _, s := range tier.daemons {
+					n += s.spans.Total()
+				}
+				return n
+			}
+			for _, path := range []string{
+				"/v1/fleet/devices?reports=false",
+				"/v1/fleet/devices?reports=true",
+				"/v1/fleet/devices?reports=2",
+				"/v1/fleet/devices?model=5g",
+				"/v1/fleet/report?model=5g",
+			} {
+				before := spans()
+				resp, err := http.Get(tier.ts.URL + path)
+				if err != nil {
+					t.Fatal(err)
+				}
+				var env struct {
+					Error *apiError `json:"error"`
+				}
+				err = json.NewDecoder(resp.Body).Decode(&env)
+				resp.Body.Close()
+				if err != nil {
+					t.Fatalf("GET %s: body is not an error envelope: %v", path, err)
+				}
+				if resp.StatusCode != http.StatusBadRequest || env.Error == nil || env.Error.Kind != "bad_request" {
+					t.Errorf("GET %s: status %d, error %+v; want 400 bad_request", path, resp.StatusCode, env.Error)
+				}
+				if tier.name == "router" && spans() != before {
+					t.Errorf("GET %s: the router fanned a bad request out to its shards", path)
+				}
+			}
+			for _, path := range []string{
+				"/v1/fleet/devices",
+				"/v1/fleet/devices?reports=0",
+				"/v1/fleet/devices?reports=1&model=lte",
+			} {
+				get(t, tier.ts, path)
+			}
+		})
+	}
+}
+
+// BenchmarkFleetReportEncode is the encode rung of a fleet read: one
+// 500-device report document written whole by encodeJSON (old, what
+// the handler did before per_device entries were memoised) and by
+// encodeFleetDoc splicing already-encoded entries into the encoded
+// head (new, a read whose memo is warm). The two must agree byte for
+// byte before anything is timed.
+func BenchmarkFleetReportEncode(b *testing.B) {
+	const devices = 500
+	base := replayCohort(b, 1)
+	fleet := make([]IngestRequest, devices)
+	for i := range fleet {
+		fleet[i] = base[i%len(base)]
+		fleet[i].DeviceID = fmt.Sprintf("dev-%03d", i)
+	}
+	doc := offlineFleetReport(b, fleet, 1, power.Model3G())
+	entries := make([][]byte, len(doc.Analysis.PerDevice))
+	for i := range entries {
+		var err error
+		if entries[i], err = encodeEntry(&doc.Analysis.PerDevice[i]); err != nil {
+			b.Fatal(err)
+		}
+	}
+	whole, err := encodeJSON(doc)
+	if err != nil {
+		b.Fatal(err)
+	}
+	spliced, err := encodeFleetDoc(doc, entries)
+	if err != nil {
+		b.Fatal(err)
+	}
+	if !bytes.Equal(whole, spliced) {
+		b.Fatal("spliced fleet document differs from the whole-document encode")
+	}
+
+	for _, bc := range []struct {
+		name   string
+		encode func() ([]byte, error)
+	}{
+		{"old-whole-document", func() ([]byte, error) { return encodeJSON(doc) }},
+		{"new-spliced-entries", func() ([]byte, error) { return encodeFleetDoc(doc, entries) }},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			b.ReportAllocs()
+			b.SetBytes(int64(len(whole)))
+			for i := 0; i < b.N; i++ {
+				if _, err := bc.encode(); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
 }
 
 // BenchmarkFleetReport is the in-process fleet-read rung: GET

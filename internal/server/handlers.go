@@ -473,19 +473,48 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) error {
 	return writeJSON(w, http.StatusOK, IngestResponse{DeviceID: req.DeviceID, Devices: s.Devices()})
 }
 
+// handleFleetReport serves the live fleet report: the exact document
+// netmaster-analyze produces offline, so the two are byte-comparable.
+// Each device's per_device entry comes pre-encoded from its memo.
 func (s *Server) handleFleetReport(w http.ResponseWriter, r *http.Request) error {
-	doc, err := s.fleetDoc(r.URL.Query().Get("model"))
+	dumps, entries, err := s.deviceDumps(r.URL.Query().Get("model"), true)
 	if err != nil {
 		return err
 	}
-	return writeJSON(w, http.StatusOK, doc)
+	doc, err := fleetDocFromDumps(s.workers(), dumps)
+	if err != nil {
+		return err
+	}
+	body, err := encodeFleetDoc(doc, entries)
+	if err != nil {
+		return err
+	}
+	return writeRaw(w, http.StatusOK, body)
+}
+
+// wantReports parses /v1/fleet/devices' ?reports= flag: empty or 1
+// includes each device's analyzed report, 0 skips the analysis when the
+// caller only wants raw metrics.
+func wantReports(r *http.Request) (bool, error) {
+	switch v := r.URL.Query().Get("reports"); v {
+	case "", "1":
+		return true, nil
+	case "0":
+		return false, nil
+	default:
+		return false, &apiError{Code: http.StatusBadRequest, Kind: "bad_request",
+			Msg: fmt.Sprintf("unknown reports value %q (want 0 or 1)", v)}
+	}
 }
 
 // handleFleetDevices dumps the ingested fleet per device — the shard
-// half of a routed fleet report. reports=0 skips the per-device
-// analysis when the caller only wants raw metrics.
+// half of a routed fleet report.
 func (s *Server) handleFleetDevices(w http.ResponseWriter, r *http.Request) error {
-	dumps, err := s.deviceDumps(r.URL.Query().Get("model"), r.URL.Query().Get("reports") != "0")
+	withReports, err := wantReports(r)
+	if err != nil {
+		return err
+	}
+	dumps, _, err := s.deviceDumps(r.URL.Query().Get("model"), withReports)
 	if err != nil {
 		return err
 	}

@@ -62,9 +62,9 @@ func offlineReports(t testing.TB, ingests []IngestRequest, workers int, m *power
 	return reports
 }
 
-// offlineFleetDoc computes the fleet report the way the batch pipeline
+// offlineFleetReport folds the fleet report the way the batch pipeline
 // (netmaster-analyze) does, straight from the artifacts — no server.
-func offlineFleetDoc(t testing.TB, ingests []IngestRequest, workers int, m *power.Model) []byte {
+func offlineFleetReport(t testing.TB, ingests []IngestRequest, workers int, m *power.Model) FleetReportResponse {
 	t.Helper()
 	var devs []telemetry.Device
 	for _, in := range ingests {
@@ -75,7 +75,15 @@ func offlineFleetDoc(t testing.TB, ingests []IngestRequest, workers int, m *powe
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := encodeJSON(FleetReportResponse{Metrics: agg.Export(), Analysis: analyze.Fleet(reports)})
+	return FleetReportResponse{Metrics: agg.Export(), Analysis: analyze.Fleet(reports)}
+}
+
+// offlineFleetDoc is offlineFleetReport encoded whole, in one encodeJSON
+// pass: the independent oracle for the live handlers, which splice
+// pre-encoded per_device entries instead.
+func offlineFleetDoc(t testing.TB, ingests []IngestRequest, workers int, m *power.Model) []byte {
+	t.Helper()
+	b, err := encodeJSON(offlineFleetReport(t, ingests, workers, m))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -346,6 +346,11 @@ func forwardQuery(r *http.Request, keys ...string) string {
 }
 
 func (rt *Router) handleFleetReport(w http.ResponseWriter, r *http.Request) error {
+	// A bad model is a 400 here, not every shard's refusal relayed as
+	// a 502.
+	if _, err := powerModel(r.URL.Query().Get("model")); err != nil {
+		return err
+	}
 	dumps, err := rt.shardDumps(r.Context(), forwardQuery(r, "model"))
 	if err != nil {
 		return err
@@ -354,10 +359,31 @@ func (rt *Router) handleFleetReport(w http.ResponseWriter, r *http.Request) erro
 	if err != nil {
 		return err
 	}
-	return writeJSON(w, http.StatusOK, doc)
+	// The router holds no memo: it encodes every per_device entry, then
+	// writes the document through the same splice as a single node.
+	per := doc.Analysis.PerDevice
+	entries, err := parallel.MapN(rt.workers(), len(per), func(i int) ([]byte, error) {
+		return encodeEntry(&per[i])
+	})
+	if err != nil {
+		return err
+	}
+	body, err := encodeFleetDoc(doc, entries)
+	if err != nil {
+		return err
+	}
+	return writeRaw(w, http.StatusOK, body)
 }
 
 func (rt *Router) handleFleetDevices(w http.ResponseWriter, r *http.Request) error {
+	// Bad parameters are a 400 here, as on a shard, not every shard's
+	// refusal relayed as a 502.
+	if _, err := powerModel(r.URL.Query().Get("model")); err != nil {
+		return err
+	}
+	if _, err := wantReports(r); err != nil {
+		return err
+	}
 	dumps, err := rt.shardDumps(r.Context(), forwardQuery(r, "model", "reports"))
 	if err != nil {
 		return err

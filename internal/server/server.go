@@ -18,8 +18,11 @@
 package server
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/pprof"
@@ -140,10 +143,18 @@ type ingested struct {
 	metrics *metrics.Snapshot
 	header  tracing.Header
 	events  []tracing.Event
-	// reports holds analyze.Device's answer per analysis config — one
-	// entry per power model read so far, at most two. Memoised reports
+	// reports holds the device's analysis per analysis config — one
+	// entry per power model read so far, at most two. Memoised analyses
 	// are shared by every later read and never mutated.
-	reports map[analyze.Config]*analyze.DeviceReport
+	reports map[analyze.Config]*analysis
+}
+
+// analysis is analyze.Device's answer for one device under one config,
+// plus that report as its fleet-report per_device entry (encodeEntry),
+// which every later report read splices in verbatim.
+type analysis struct {
+	report *analyze.DeviceReport
+	body   []byte
 }
 
 // Server is the daemon: an http.Handler plus the state behind it.
@@ -323,17 +334,20 @@ func (s *Server) eachDevice(visit func(id string, d *ingested)) {
 // deviceDumps snapshots the ingested fleet in sorted-ID order: each
 // device's raw metrics plus (optionally) its analyzed report. This is
 // the shard's contribution to a routed fleet report — the router fetches
-// dumps from every shard and folds them with fleetDocFromDumps.
+// dumps from every shard and folds them with fleetDocFromDumps. With
+// reports, entries holds each report's encoded per_device entry,
+// index-aligned with the dumps.
 //
 // Reports come from each device's memo; only devices ingested since
-// they were last analysed under this config run analyze.Device, outside
-// the lock. A fresh report is published to the memo only if the device
-// was not re-ingested meanwhile, so a newer ingest always wins.
-func (s *Server) deviceDumps(model string, withReports bool) ([]DeviceDump, error) {
+// they were last analysed under this config run analyze.Device (and
+// encodeEntry), outside the lock. A fresh analysis is published to the
+// memo only if the device was not re-ingested meanwhile, so a newer
+// ingest always wins.
+func (s *Server) deviceDumps(model string, withReports bool) (dumps []DeviceDump, entries [][]byte, err error) {
 	acfg := analyze.DefaultConfig()
 	m, err := powerModel(model)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	acfg.ActivePowerMW = m.ActivePowerMW
 
@@ -341,36 +355,44 @@ func (s *Server) deviceDumps(model string, withReports bool) ([]DeviceDump, erro
 		i int // index into dumps
 		d *ingested
 	}
-	dumps := []DeviceDump{}
+	dumps = []DeviceDump{}
 	var misses []miss
 	s.eachDevice(func(id string, d *ingested) {
 		dump := DeviceDump{DeviceID: id, Metrics: d.metrics}
 		if withReports {
-			if dump.Report = d.reports[acfg]; dump.Report == nil {
+			if a := d.reports[acfg]; a != nil {
+				dump.Report = a.report
+				entries = append(entries, a.body)
+			} else {
 				misses = append(misses, miss{len(dumps), d})
+				entries = append(entries, nil)
 			}
 		}
 		dumps = append(dumps, dump)
 	})
 	if !withReports {
-		return dumps, nil
+		return dumps, nil, nil
 	}
 
 	if len(misses) > 0 {
-		fresh, err := parallel.MapN(s.workers(), len(misses), func(k int) (*analyze.DeviceReport, error) {
+		fresh, err := parallel.MapN(s.workers(), len(misses), func(k int) (*analysis, error) {
 			m := misses[k]
 			rep := analyze.Device(analyze.DeviceInput{ID: dumps[m.i].DeviceID, Header: m.d.header, Events: m.d.events, Metrics: m.d.metrics}, acfg)
-			return &rep, nil
+			body, err := encodeEntry(&rep)
+			if err != nil {
+				return nil, err
+			}
+			return &analysis{report: &rep, body: body}, nil
 		})
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 		s.fleetMu.Lock()
 		for k, m := range misses {
-			dumps[m.i].Report = fresh[k]
+			dumps[m.i].Report, entries[m.i] = fresh[k].report, fresh[k].body
 			if s.fleet[dumps[m.i].DeviceID] == m.d {
 				if m.d.reports == nil {
-					m.d.reports = make(map[analyze.Config]*analyze.DeviceReport, 1)
+					m.d.reports = make(map[analyze.Config]*analysis, 1)
 				}
 				m.d.reports[acfg] = fresh[k]
 			}
@@ -380,17 +402,7 @@ func (s *Server) deviceDumps(model string, withReports bool) ([]DeviceDump, erro
 	for i := range dumps {
 		dumps[i].DeferSecs = dumps[i].Report.DeferSecs()
 	}
-	return dumps, nil
-}
-
-// fleetDoc assembles the live fleet report: the exact structure
-// netmaster-analyze produces offline, so the two are byte-comparable.
-func (s *Server) fleetDoc(model string) (FleetReportResponse, error) {
-	dumps, err := s.deviceDumps(model, true)
-	if err != nil {
-		return FleetReportResponse{}, err
-	}
-	return fleetDocFromDumps(s.workers(), dumps)
+	return dumps, entries, nil
 }
 
 // fleetDocFromDumps folds per-device dumps into the fleet document.
@@ -421,4 +433,80 @@ func fleetDocFromDumps(workers int, dumps []DeviceDump) (FleetReportResponse, er
 		return FleetReportResponse{}, err
 	}
 	return FleetReportResponse{Metrics: agg.Export(), Analysis: analyze.Fleet(reports)}, nil
+}
+
+// entryIndent is the line prefix of a per_device entry inside the
+// fleet document: depth 3 (document → analysis → per_device → entry)
+// of encodeJSON's two-space indent.
+const entryIndent = "      "
+
+// fleetDocTail is how encodeJSON ends a FleetReportResponse whose
+// Analysis.PerDevice is nil: per_device is the last field of analysis,
+// and analysis the last field of the document.
+const fleetDocTail = "\"per_device\": null\n  }\n}\n"
+
+// encodeEntry renders one device report exactly as encodeJSON prints it
+// as an element of a fleet document's per_device array: indented for
+// depth 3, with no trailing newline. (MarshalIndent escapes HTML like
+// an Encoder does, and is a json.Encoder's SetIndent output minus the
+// newline.)
+func encodeEntry(rep *analyze.DeviceReport) ([]byte, error) {
+	b, err := json.MarshalIndent(rep, entryIndent, "  ")
+	if err != nil {
+		return nil, err
+	}
+	// MarshalIndent leaves up to a quarter of its buffer spare, and a
+	// memoised body lives as long as the device's artifacts.
+	return bytes.Clone(b), nil
+}
+
+// encodeFleetDoc renders doc byte for byte as encodeJSON would, given
+// each doc.Analysis.PerDevice report already encoded by encodeEntry, in
+// the same order. Only the small head of the document is encoded here;
+// the entries are spliced in as they are, which skips the re-indent an
+// encoder applies to json.RawMessage or Marshaler output.
+func encodeFleetDoc(doc FleetReportResponse, entries [][]byte) ([]byte, error) {
+	if len(entries) != len(doc.Analysis.PerDevice) {
+		return nil, fmt.Errorf("fleet document: %d encoded entries for %d per_device reports",
+			len(entries), len(doc.Analysis.PerDevice))
+	}
+	if len(entries) == 0 {
+		return encodeJSON(doc)
+	}
+	doc.Analysis.PerDevice = nil
+	head, err := encodeJSON(doc)
+	if err != nil {
+		return nil, err
+	}
+	return splicePerDevice(head, entries)
+}
+
+// splicePerDevice replaces the per_device null that ends head with the
+// array of entries. A head that does not end in fleetDocTail is an
+// error, never a malformed document.
+func splicePerDevice(head []byte, entries [][]byte) ([]byte, error) {
+	if !bytes.HasSuffix(head, []byte(fleetDocTail)) {
+		return nil, errors.New("fleet document: encoded head does not end in a null per_device")
+	}
+	const (
+		open    = "\"per_device\": ["
+		element = "\n" + entryIndent // each entry's own line
+		end     = "\n    ]\n  }\n}\n"
+	)
+	head = head[:len(head)-len(fleetDocTail)]
+	size := len(head) + len(open) + len(end)
+	for _, e := range entries {
+		size += len(",") + len(element) + len(e)
+	}
+	out := make([]byte, 0, size)
+	out = append(out, head...)
+	out = append(out, open...)
+	for i, e := range entries {
+		if i > 0 {
+			out = append(out, ',')
+		}
+		out = append(out, element...)
+		out = append(out, e...)
+	}
+	return append(out, end...), nil
 }
