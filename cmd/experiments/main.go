@@ -20,6 +20,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 
@@ -45,13 +46,14 @@ func main() {
 	o.Register(flag.CommandLine)
 	flag.Parse()
 	parallel.SetDefaultWorkers(o.Parallelism)
-	if err := run(o); err != nil {
+	if err := run(os.Stdout, o); err != nil {
 		fmt.Fprintln(os.Stderr, "experiments:", err)
 		os.Exit(1)
 	}
 }
 
-func run(o cliconfig.Experiments) error {
+// run writes the requested figures and tables to w.
+func run(w io.Writer, o cliconfig.Experiments) error {
 	figure, days, csvDir, obsDir := o.Figure, o.Days, o.CSVDir, o.ObsDir
 	model, err := cliconfig.ResolveModel(o.ModelName)
 	if err != nil {
@@ -76,7 +78,6 @@ func run(o cliconfig.Experiments) error {
 	}
 
 	all := figure == "all"
-	w := os.Stdout
 
 	if all || figure == "motivation" {
 		if err := printMotivation(w, motivation); err != nil {
@@ -330,7 +331,7 @@ func writeCSVs(dir string, volunteers []*trace.Trace, histories map[string]*trac
 	return save("wifi.csv", tw)
 }
 
-func printMotivation(w *os.File, cohort []*trace.Trace) error {
+func printMotivation(w io.Writer, cohort []*trace.Trace) error {
 	m := eval.Motivation(cohort)
 	t := report.NewTable("Section III motivation summary (paper targets in parentheses)",
 		"metric", "measured", "paper")
@@ -344,7 +345,7 @@ func printMotivation(w *os.File, cohort []*trace.Trace) error {
 	return t.Render(w)
 }
 
-func printFig1a(w *os.File, cohort []*trace.Trace) error {
+func printFig1a(w io.Writer, cohort []*trace.Trace) error {
 	rows, mean := eval.Fig1a(cohort)
 	t := report.NewTable(fmt.Sprintf("Fig 1(a) network activity distribution (mean screen-off %.2f%%, paper 40.98%%)", mean*100),
 		"user", "screen-on", "screen-off", "off-share")
@@ -354,7 +355,7 @@ func printFig1a(w *os.File, cohort []*trace.Trace) error {
 	return t.Render(w)
 }
 
-func printFig1b(w *os.File, cohort []*trace.Trace) error {
+func printFig1b(w io.Writer, cohort []*trace.Trace) error {
 	onCDF, offCDF := eval.Fig1b(cohort)
 	fmt.Fprintf(w, "\n== Fig 1(b) transfer-rate CDF ==\n")
 	fmt.Fprintf(w, "screen-on:  P50=%.3f P90=%.3f P99=%.3f kB/s (paper: 90%% < 5)\n",
@@ -369,7 +370,7 @@ func printFig1b(w *os.File, cohort []*trace.Trace) error {
 	return report.Series(w, "off-CDF", xs, ys)
 }
 
-func printFig2(w *os.File, cohort []*trace.Trace) error {
+func printFig2(w io.Writer, cohort []*trace.Trace) error {
 	rows, mean := eval.Fig2(cohort)
 	t := report.NewTable(fmt.Sprintf("Fig 2 screen-on utilization (mean %.2f%%, paper 45.14%%)", mean*100),
 		"user", "avg session (s)", "utilized (s)", "ratio")
@@ -379,7 +380,7 @@ func printFig2(w *os.File, cohort []*trace.Trace) error {
 	return t.Render(w)
 }
 
-func printFig3(w *os.File, cohort []*trace.Trace) error {
+func printFig3(w io.Writer, cohort []*trace.Trace) error {
 	m, mean := eval.Fig3(cohort)
 	labels := make([]string, len(cohort))
 	for i, tr := range cohort {
@@ -396,7 +397,7 @@ func printFig3(w *os.File, cohort []*trace.Trace) error {
 	return t.Render(w)
 }
 
-func printFig4(w *os.File, t *trace.Trace) error {
+func printFig4(w io.Writer, t *trace.Trace) error {
 	m, mean, err := eval.Fig4(t, 8)
 	if err != nil {
 		return err
@@ -408,7 +409,7 @@ func printFig4(w *os.File, t *trace.Trace) error {
 	return report.Matrix(w, fmt.Sprintf("Fig 4 day-by-day Pearson for %s (mean %.4f, paper 0.8171)", t.UserID, mean), labels, m)
 }
 
-func printFig5(w *os.File, tr *trace.Trace) error {
+func printFig5(w io.Writer, tr *trace.Trace) error {
 	rows, err := eval.Fig5(tr, 7)
 	if err != nil {
 		return err
@@ -428,7 +429,7 @@ func printFig5(w *os.File, tr *trace.Trace) error {
 	return t.Render(w)
 }
 
-func printFig7(w *os.File, volunteers []*trace.Trace, histories map[string]*trace.Trace, model *power.Model) error {
+func printFig7(w io.Writer, volunteers []*trace.Trace, histories map[string]*trace.Trace, model *power.Model) error {
 	cfg := eval.DefaultFig7Config(model)
 	cfg.Histories = histories
 	rows, err := eval.Fig7(volunteers, cfg)
@@ -471,7 +472,7 @@ func printFig7(w *os.File, volunteers []*trace.Trace, histories map[string]*trac
 	return t3.Render(w)
 }
 
-func printFig8(w *os.File, volunteers []*trace.Trace, model *power.Model) error {
+func printFig8(w io.Writer, volunteers []*trace.Trace, model *power.Model) error {
 	rows, err := eval.Fig8(volunteers, model, eval.DefaultDelaySweep())
 	if err != nil {
 		return err
@@ -485,7 +486,7 @@ func printFig8(w *os.File, volunteers []*trace.Trace, model *power.Model) error 
 	return t.Render(w)
 }
 
-func printFig9(w *os.File, volunteers []*trace.Trace, model *power.Model) error {
+func printFig9(w io.Writer, volunteers []*trace.Trace, model *power.Model) error {
 	rows, err := eval.Fig9(volunteers, model, eval.DefaultBatchSweep())
 	if err != nil {
 		return err
@@ -499,7 +500,7 @@ func printFig9(w *os.File, volunteers []*trace.Trace, model *power.Model) error 
 	return t.Render(w)
 }
 
-func printFig10a(w *os.File) error {
+func printFig10a(w io.Writer) error {
 	sleeps := []simtime.Duration{5, 10, 20, 30, 120, 360}
 	series := eval.Fig10a(sleeps, 5*simtime.Second, 20)
 	t := report.NewTable("Fig 10(a) radio-on fraction vs wake-ups (exponential sleep)",
@@ -510,7 +511,7 @@ func printFig10a(w *os.File) error {
 	return t.Render(w)
 }
 
-func printFig10b(w *os.File) error {
+func printFig10b(w io.Writer) error {
 	series, err := eval.Fig10b(10*simtime.Second, 30*simtime.Minute, 5*simtime.Second, 42)
 	if err != nil {
 		return err
@@ -523,7 +524,7 @@ func printFig10b(w *os.File) error {
 	return t.Render(w)
 }
 
-func printFig10c(w *os.File, volunteers []*trace.Trace, histories map[string]*trace.Trace, model *power.Model) error {
+func printFig10c(w io.Writer, volunteers []*trace.Trace, histories map[string]*trace.Trace, model *power.Model) error {
 	cfg := policy.DefaultNetMasterConfig(model)
 	rows, err := eval.Fig10c(volunteers, cfg, histories, model, eval.DefaultDeltaSweep())
 	if err != nil {
@@ -547,7 +548,7 @@ func wifiSweepPoints(cov float64) []float64 {
 	return eval.DefaultWiFiCoverageSweep()
 }
 
-func printWiFi(w *os.File, days int, model *power.Model, wifi *power.WiFiModel, cov float64) error {
+func printWiFi(w io.Writer, days int, model *power.Model, wifi *power.WiFiModel, cov float64) error {
 	if wifi == nil {
 		return fmt.Errorf("figure wifi needs -wifi-model (try -wifi-model wifi)")
 	}
@@ -565,7 +566,7 @@ func printWiFi(w *os.File, days int, model *power.Model, wifi *power.WiFiModel, 
 	return t.Render(w)
 }
 
-func printUX(w *os.File, volunteers []*trace.Trace, histories map[string]*trace.Trace, model *power.Model) error {
+func printUX(w io.Writer, volunteers []*trace.Trace, histories map[string]*trace.Trace, model *power.Model) error {
 	cfg := policy.DefaultNetMasterConfig(model)
 	rows, err := eval.UserExperience(volunteers, cfg, histories, model)
 	if err != nil {
@@ -579,7 +580,7 @@ func printUX(w *os.File, volunteers []*trace.Trace, histories map[string]*trace.
 	return t.Render(w)
 }
 
-func printGapDist(w *os.File, volunteers []*trace.Trace, histories map[string]*trace.Trace, model *power.Model) error {
+func printGapDist(w io.Writer, volunteers []*trace.Trace, histories map[string]*trace.Trace, model *power.Model) error {
 	cfg := eval.DefaultFig7Config(model)
 	cfg.Histories = histories
 	dist, err := eval.Fig7aGapDistribution(volunteers, cfg, 100)
@@ -592,7 +593,7 @@ func printGapDist(w *os.File, volunteers []*trace.Trace, histories map[string]*t
 	return nil
 }
 
-func printHiddenImpact(w *os.File, volunteers []*trace.Trace, histories map[string]*trace.Trace, model *power.Model) error {
+func printHiddenImpact(w io.Writer, volunteers []*trace.Trace, histories map[string]*trace.Trace, model *power.Model) error {
 	var policies []device.Policy
 	nmCfg := policy.DefaultNetMasterConfig(model)
 	if h, ok := histories[volunteers[0].UserID]; ok {
@@ -626,7 +627,7 @@ func printHiddenImpact(w *os.File, volunteers []*trace.Trace, histories map[stri
 	return t.Render(w)
 }
 
-func printCrossModel(w *os.File, volunteers []*trace.Trace, histories map[string]*trace.Trace) error {
+func printCrossModel(w io.Writer, volunteers []*trace.Trace, histories map[string]*trace.Trace) error {
 	rows, err := eval.CrossModel(volunteers, histories, []*power.Model{power.Model3G(), power.ModelLTE()})
 	if err != nil {
 		return err
@@ -640,7 +641,7 @@ func printCrossModel(w *os.File, volunteers []*trace.Trace, histories map[string
 	return t.Render(w)
 }
 
-func printDeltaRisk(w *os.File, volunteers []*trace.Trace) error {
+func printDeltaRisk(w io.Writer, volunteers []*trace.Trace) error {
 	rows, err := eval.DeltaRisk(volunteers, habit.DefaultConfig(), eval.DefaultDeltaSweep())
 	if err != nil {
 		return err
@@ -653,7 +654,7 @@ func printDeltaRisk(w *os.File, volunteers []*trace.Trace) error {
 	return t.Render(w)
 }
 
-func printBattery(w *os.File, volunteers []*trace.Trace, histories map[string]*trace.Trace, model *power.Model) error {
+func printBattery(w io.Writer, volunteers []*trace.Trace, histories map[string]*trace.Trace, model *power.Model) error {
 	nmCfg := policy.DefaultNetMasterConfig(model)
 	if h, ok := histories[volunteers[0].UserID]; ok {
 		nmCfg.History = h
@@ -679,7 +680,7 @@ func printBattery(w *os.File, volunteers []*trace.Trace, histories map[string]*t
 	return t.Render(w)
 }
 
-func printSensitivity(w *os.File, volunteers []*trace.Trace, histories map[string]*trace.Trace, model *power.Model) error {
+func printSensitivity(w io.Writer, volunteers []*trace.Trace, histories map[string]*trace.Trace, model *power.Model) error {
 	rows, err := eval.Sensitivity(volunteers[:1], histories, model)
 	if err != nil {
 		return err
@@ -693,7 +694,7 @@ func printSensitivity(w *os.File, volunteers []*trace.Trace, histories map[strin
 	return t.Render(w)
 }
 
-func printDrift(w *os.File, model *power.Model) error {
+func printDrift(w io.Writer, model *power.Model) error {
 	rows, err := eval.Drift(eval.DefaultDriftConfig(), model)
 	if err != nil {
 		return err

@@ -1,6 +1,9 @@
 package main
 
 import (
+	"bytes"
+	"flag"
+	"io"
 	"os"
 	"path/filepath"
 	"testing"
@@ -8,6 +11,37 @@ import (
 	"netmaster/internal/cliconfig"
 	"netmaster/internal/tracing"
 )
+
+// docs/experiments-output.txt is the committed output of
+// `experiments -figure all`: every reproduced paper number at the
+// default settings. Any change to one of them shows up as a diff of
+// that file. Regenerate it deliberately with
+//
+//	go test ./cmd/experiments -run Golden -update
+var update = flag.Bool("update", false, "rewrite docs/experiments-output.txt")
+
+const goldenOutput = "../../docs/experiments-output.txt"
+
+func TestGoldenExperimentsOutput(t *testing.T) {
+	var buf bytes.Buffer
+	if err := run(&buf, cliconfig.DefaultExperiments()); err != nil {
+		t.Fatal(err)
+	}
+	if *update {
+		if err := os.WriteFile(goldenOutput, buf.Bytes(), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(goldenOutput)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(buf.Bytes(), want) {
+		t.Errorf("experiments -figure all differs from %s (re-run with -update if intended)\ngot:\n%s",
+			goldenOutput, buf.Bytes())
+	}
+}
 
 // expOpts builds an Experiments option set over the defaults.
 func expOpts(mut func(*cliconfig.Experiments)) cliconfig.Experiments {
@@ -19,7 +53,7 @@ func expOpts(mut func(*cliconfig.Experiments)) cliconfig.Experiments {
 func TestRunSingleFigures(t *testing.T) {
 	// The cheap figures run end to end; days kept small.
 	for _, fig := range []string{"motivation", "1a", "1b", "2", "3", "4", "5", "10a", "10b", "delta"} {
-		if err := run(expOpts(func(o *cliconfig.Experiments) {
+		if err := run(io.Discard, expOpts(func(o *cliconfig.Experiments) {
 			o.Figure, o.Days = fig, 8
 		})); err != nil {
 			t.Errorf("figure %s: %v", fig, err)
@@ -30,7 +64,7 @@ func TestRunSingleFigures(t *testing.T) {
 // The wifi figure covers the dual-radio sweep; the pinned -wifi-coverage
 // path narrows the x-axis to the zero anchor plus the requested point.
 func TestRunWiFiFigure(t *testing.T) {
-	if err := run(expOpts(func(o *cliconfig.Experiments) {
+	if err := run(io.Discard, expOpts(func(o *cliconfig.Experiments) {
 		o.Figure, o.Days, o.WiFiCoverage = "wifi", 6, 0.6
 	})); err != nil {
 		t.Fatal(err)
@@ -38,7 +72,7 @@ func TestRunWiFiFigure(t *testing.T) {
 }
 
 func TestRunWiFiFigureNeedsModel(t *testing.T) {
-	if err := run(expOpts(func(o *cliconfig.Experiments) {
+	if err := run(io.Discard, expOpts(func(o *cliconfig.Experiments) {
 		o.Figure, o.Days, o.WiFiModelName = "wifi", 6, ""
 	})); err == nil {
 		t.Error("figure wifi without a NIC model accepted")
@@ -46,12 +80,12 @@ func TestRunWiFiFigureNeedsModel(t *testing.T) {
 }
 
 func TestRunUnknownModel(t *testing.T) {
-	if err := run(expOpts(func(o *cliconfig.Experiments) {
+	if err := run(io.Discard, expOpts(func(o *cliconfig.Experiments) {
 		o.Figure, o.Days, o.ModelName = "1a", 8, "6g"
 	})); err == nil {
 		t.Error("unknown model accepted")
 	}
-	if err := run(expOpts(func(o *cliconfig.Experiments) {
+	if err := run(io.Discard, expOpts(func(o *cliconfig.Experiments) {
 		o.Figure, o.Days, o.WiFiModelName = "1a", 8, "warp"
 	})); err == nil {
 		t.Error("unknown wifi model accepted")
@@ -60,7 +94,7 @@ func TestRunUnknownModel(t *testing.T) {
 
 func TestRunCSVExport(t *testing.T) {
 	dir := t.TempDir()
-	if err := run(expOpts(func(o *cliconfig.Experiments) {
+	if err := run(io.Discard, expOpts(func(o *cliconfig.Experiments) {
 		o.Figure, o.Days, o.CSVDir = "7", 8, dir
 	})); err != nil {
 		t.Fatal(err)
@@ -77,7 +111,7 @@ func TestRunCSVExport(t *testing.T) {
 // headered trace.
 func TestRunObservabilityExport(t *testing.T) {
 	dir := t.TempDir()
-	if err := run(expOpts(func(o *cliconfig.Experiments) {
+	if err := run(io.Discard, expOpts(func(o *cliconfig.Experiments) {
 		o.Figure, o.Days, o.ObsDir = "1a", 6, dir
 	})); err != nil {
 		t.Fatal(err)

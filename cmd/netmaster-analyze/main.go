@@ -135,7 +135,7 @@ func run(o options, out io.Writer) (int, error) {
 			mdevs = append(mdevs, *d.dev)
 		}
 	}
-	agg, err := telemetry.AggregateParallel(workers, mdevs)
+	agg, err := telemetry.Aggregate(mdevs...)
 	if err != nil {
 		return 0, err
 	}

@@ -358,21 +358,7 @@ func (n *NetMaster) schedule(t *trace.Trace, profile *habit.Profile, shift simti
 		},
 	}
 	if n.dualRadio(t) {
-		// Dual-radio: a placement in a Wi-Fi-covered slot still
-		// eliminates the isolated cellular burst (the same g(tj)), and
-		// on top moves the compacted transfer from the cellular batch
-		// to the pooled Wi-Fi sync of its slot. The extra term is the
-		// per-transfer marginal gap at the radios' batch rates — the
-		// association is amortized across the slot pool, so it is
-		// priced (and the whole pool re-checked) at execution assembly,
-		// not per candidate.
-		cfg.WiFiSavedEnergy = func(a core.Activity) float64 {
-			cellSecs := n.cfg.Model.CompactDuration(a.Bytes).Seconds()
-			pooledSecs := float64(a.Bytes) / n.cfg.WiFi.BatchBps
-			return n.cfg.Model.SavedEnergy(a.ActiveSecs) +
-				n.cfg.Model.MarginalBurstEnergy(cellSecs) -
-				n.cfg.WiFi.MarginalBurstEnergy(pooledSecs)
-		}
+		cfg.WiFiSavedEnergy = PooledWiFiSaving(n.cfg.Model, n.cfg.WiFi)
 		cfg.WiFiAvailable = t.WiFiCovers
 	}
 	s, err := core.New(cfg)
@@ -380,6 +366,24 @@ func (n *NetMaster) schedule(t *trace.Trace, profile *habit.Profile, shift simti
 		return nil, err
 	}
 	return s.Schedule(u, acts)
+}
+
+// PooledWiFiSaving is the pooled-optimistic Wi-Fi profit the scheduler
+// prices a Wi-Fi-covered placement with (core.Config.WiFiSavedEnergy).
+// Such a placement still eliminates the isolated cellular burst (the
+// same g(tj)), and on top moves the compacted transfer from the
+// cellular batch to the pooled Wi-Fi sync of its slot. The extra term
+// is the per-transfer marginal gap at the radios' batch rates — the
+// association is amortized across the slot pool, so it is priced (and
+// the whole pool re-checked) at execution assembly, not per candidate.
+func PooledWiFiSaving(cell *power.Model, wifi *power.WiFiModel) func(core.Activity) float64 {
+	return func(a core.Activity) float64 {
+		cellSecs := cell.CompactDuration(a.Bytes).Seconds()
+		pooledSecs := float64(a.Bytes) / wifi.BatchBps
+		return cell.SavedEnergy(a.ActiveSecs) +
+			cell.MarginalBurstEnergy(cellSecs) -
+			wifi.MarginalBurstEnergy(pooledSecs)
+	}
 }
 
 // dualRadio reports whether this replay runs the dual-radio machinery:

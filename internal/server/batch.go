@@ -129,8 +129,8 @@ func (s *Server) handleIngestBatch(w http.ResponseWriter, r *http.Request) error
 	if err := parallel.ForEachNCtx(r.Context(), s.workers(), len(req.Items), func(i int) error {
 		it := &req.Items[i]
 		results[i].DeviceID = it.DeviceID
-		if it.DeviceID == "" {
-			results[i].Error = &BatchItemError{Kind: "bad_request", Msg: "device_id must be set"}
+		if err := checkIngest(it); err != nil {
+			results[i].Error = &BatchItemError{Kind: "bad_request", Msg: err.Error()}
 		}
 		return nil
 	}); err != nil {

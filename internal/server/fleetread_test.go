@@ -4,8 +4,10 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
+	"maps"
 	"net/http"
 	"net/http/httptest"
 	"sort"
@@ -453,6 +455,78 @@ func TestFleetReadRejectsBadParams(t *testing.T) {
 				"/v1/fleet/devices?reports=1&model=lte",
 			} {
 				get(t, tier.ts, path)
+			}
+		})
+	}
+}
+
+// malformed is in under id with one histogram cut to one bucket fewer
+// than its bounds. The snapshot maps are copied, so in stays as it was.
+func malformed(t *testing.T, id string, in IngestRequest) IngestRequest {
+	t.Helper()
+	snap := *in.Metrics
+	snap.Histograms = maps.Clone(snap.Histograms)
+	for name, hs := range snap.Histograms {
+		hs.Buckets = hs.Buckets[:len(hs.Buckets)-1]
+		snap.Histograms[name] = hs
+		in.DeviceID, in.Metrics = id, &snap
+		return in
+	}
+	t.Fatal("snapshot has no histogram to break")
+	return in
+}
+
+// TestMalformedSnapshotRefusedAtIngest: a metrics snapshot with fewer
+// histogram buckets than bounds is refused at ingest — 400 bad_request
+// alone, a per-item bad_request in a batch — on both roles, before it
+// is journaled or forwarded. Every fleet read then still answers 200,
+// and the report equals the offline fold of the accepted devices.
+func TestMalformedSnapshotRefusedAtIngest(t *testing.T) {
+	base := replayCohort(t, 2)
+	for _, tier := range readTiers(t) {
+		t.Run(tier.name, func(t *testing.T) {
+			cur := fleetState{}
+			for _, in := range base[:2] {
+				if _, err := tier.client.Ingest(context.Background(), in); err != nil {
+					t.Fatal(err)
+				}
+				cur.put(in)
+			}
+
+			_, err := tier.client.Ingest(context.Background(), malformed(t, "bad-one", base[2]))
+			var ae *apiError
+			if !errors.As(err, &ae) || ae.Code != http.StatusBadRequest || ae.Kind != "bad_request" {
+				t.Errorf("malformed ingest: err = %v, want 400 bad_request", err)
+			}
+
+			good := withArtifacts(IngestRequest{DeviceID: "good"}, base[2])
+			resp, err := tier.client.IngestBatch(context.Background(), BatchIngestRequest{
+				Items: []IngestRequest{malformed(t, "bad-batch", base[0]), good},
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			cur.put(good)
+			if resp.Accepted != 1 || resp.Failed != 1 || len(resp.Results) != 2 {
+				t.Fatalf("batch ack = accepted %d, failed %d, %d results; want 1/1/2",
+					resp.Accepted, resp.Failed, len(resp.Results))
+			}
+			if r := resp.Results[0]; r.OK || r.Error == nil || r.Error.Kind != "bad_request" {
+				t.Errorf("malformed batch item: %+v, want a bad_request error", r)
+			}
+			if !resp.Results[1].OK {
+				t.Errorf("valid batch item: %+v, want OK", resp.Results[1])
+			}
+
+			if got, want := get(t, tier.ts, "/v1/fleet/report"), offlineFleetDoc(t, cur.sorted(), 1, power.Model3G()); !bytes.Equal(got, want) {
+				t.Errorf("report differs from the offline fold of the accepted devices\nlive:\n%s\noffline:\n%s", got, want)
+			}
+			get(t, tier.ts, "/metrics")
+			get(t, tier.ts, "/metrics?scope=fleet")
+			for _, id := range []string{"bad-one", "bad-batch"} {
+				if n := memoEntries(tier.daemons, id); n != -1 {
+					t.Errorf("refused device %q is held by a daemon", id)
+				}
 			}
 		})
 	}

@@ -2,6 +2,7 @@ package server
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"net/http"
 
@@ -226,17 +227,9 @@ func (s *Server) scheduleOne(ctx context.Context, req *ScheduleRequest) (*Schedu
 		return nil, false, err
 	}
 	if wifi != nil {
-		// Pooled-optimistic Wi-Fi profit, mirroring the offline policy:
-		// cellular is credited its marginal burst, Wi-Fi charged only a
-		// fractional share of a pooled sync — execution-time gates do the
-		// conservative demotion.
-		ccfg.WiFiSavedEnergy = func(a core.Activity) float64 {
-			cellSecs := model.CompactDuration(a.Bytes).Seconds()
-			pooledSecs := float64(a.Bytes) / wifi.BatchBps
-			return model.SavedEnergy(a.ActiveSecs) +
-				model.MarginalBurstEnergy(cellSecs) -
-				wifi.MarginalBurstEnergy(pooledSecs)
-		}
+		// The offline policy's pooled-optimistic profit; execution-time
+		// gates do the conservative demotion.
+		ccfg.WiFiSavedEnergy = policy.PooledWiFiSaving(model, wifi)
 		ccfg.WiFiAvailable = func(slot simtime.Interval) bool { return coversAll(wifiCov, slot) }
 	}
 	sched, err := core.New(ccfg)
@@ -453,13 +446,27 @@ func (s *Server) simulateDual(w http.ResponseWriter, r *http.Request, req Simula
 	})
 }
 
+// checkIngest is the per-device check every ingest path runs before it
+// journals or forwards anything: a device ID, and a metrics snapshot
+// the fleet fold accepts. Bounds that differ between devices need the
+// whole fleet and are left to the fold.
+func checkIngest(req *IngestRequest) error {
+	if req.DeviceID == "" {
+		return errors.New("device_id must be set")
+	}
+	if req.Metrics == nil {
+		return nil
+	}
+	return telemetry.Device{ID: req.DeviceID, Snapshot: *req.Metrics}.Validate()
+}
+
 func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) error {
 	var req IngestRequest
 	if err := decode(r, &req); err != nil {
 		return err
 	}
-	if req.DeviceID == "" {
-		return &apiError{Code: http.StatusBadRequest, Kind: "bad_request", Msg: "device_id must be set"}
+	if err := checkIngest(&req); err != nil {
+		return &apiError{Code: http.StatusBadRequest, Kind: "bad_request", Msg: err.Error()}
 	}
 	// Durability before acknowledgement: the journal append happens (and
 	// fsyncs) before the 200, so an acked ingest survives any crash.
@@ -481,7 +488,7 @@ func (s *Server) handleFleetReport(w http.ResponseWriter, r *http.Request) error
 	if err != nil {
 		return err
 	}
-	doc, err := fleetDocFromDumps(s.workers(), dumps)
+	doc, err := fleetDocFromDumps(dumps)
 	if err != nil {
 		return err
 	}

@@ -355,7 +355,7 @@ func (rt *Router) handleFleetReport(w http.ResponseWriter, r *http.Request) erro
 	if err != nil {
 		return err
 	}
-	doc, err := fleetDocFromDumps(rt.workers(), dumps)
+	doc, err := fleetDocFromDumps(dumps)
 	if err != nil {
 		return err
 	}
@@ -592,8 +592,8 @@ func (rt *Router) handleIngestBatch(w http.ResponseWriter, r *http.Request) erro
 	owners := make([]string, len(req.Items))
 	for i := range req.Items {
 		results[i].DeviceID = req.Items[i].DeviceID
-		if req.Items[i].DeviceID == "" {
-			results[i].Error = &BatchItemError{Kind: "bad_request", Msg: "device_id must be set"}
+		if err := checkIngest(&req.Items[i]); err != nil {
+			results[i].Error = &BatchItemError{Kind: "bad_request", Msg: err.Error()}
 			continue
 		}
 		owners[i] = rt.ring.Owner(req.Items[i].DeviceID)

@@ -407,11 +407,10 @@ func (s *Server) deviceDumps(model string, withReports bool) (dumps []DeviceDump
 
 // fleetDocFromDumps folds per-device dumps into the fleet document.
 // The same fold serves one node's memory and a router's N shards: the
-// telemetry merge is exactly associative and analyze.Fleet sorts its
-// inputs, so the result is independent of how devices were grouped —
-// which is what makes a routed report byte-identical to a single-node
-// run.
-func fleetDocFromDumps(workers int, dumps []DeviceDump) (FleetReportResponse, error) {
+// telemetry export and analyze.Fleet both sort their inputs, so the
+// result is independent of how devices were grouped — which is what
+// makes a routed report byte-identical to a single-node run.
+func fleetDocFromDumps(dumps []DeviceDump) (FleetReportResponse, error) {
 	var mdevs []telemetry.Device
 	reports := make([]analyze.DeviceReport, 0, len(dumps))
 	for _, d := range dumps {
@@ -428,7 +427,7 @@ func fleetDocFromDumps(workers int, dumps []DeviceDump) (FleetReportResponse, er
 			reports = append(reports, rep)
 		}
 	}
-	agg, err := telemetry.AggregateParallel(workers, mdevs)
+	agg, err := telemetry.Aggregate(mdevs...)
 	if err != nil {
 		return FleetReportResponse{}, err
 	}

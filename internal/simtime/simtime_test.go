@@ -245,65 +245,3 @@ func TestCoveredLenProperty(t *testing.T) {
 		t.Error(err)
 	}
 }
-
-func TestGrid(t *testing.T) {
-	g := NewGrid(Hour, Day)
-	if g.NumSlots() != 24 {
-		t.Fatalf("NumSlots = %d", g.NumSlots())
-	}
-	if g.SlotOf(At(0, 13, 30, 0)) != 13 {
-		t.Errorf("SlotOf(13:30) = %d", g.SlotOf(At(0, 13, 30, 0)))
-	}
-	if g.SlotOf(-1) != -1 || g.SlotOf(Instant(Day)) != -1 {
-		t.Error("out-of-horizon instants must map to -1")
-	}
-	iv := g.SlotInterval(23)
-	if iv.Start != At(0, 23, 0, 0) || iv.End != Instant(Day) {
-		t.Errorf("SlotInterval(23) = %v", iv)
-	}
-}
-
-func TestGridTruncatedFinalSlot(t *testing.T) {
-	g := NewGrid(Hour, Hour+30*Minute)
-	if g.NumSlots() != 2 {
-		t.Fatalf("NumSlots = %d", g.NumSlots())
-	}
-	iv := g.SlotInterval(1)
-	if iv.Len() != 30*Minute {
-		t.Errorf("truncated slot length = %v", iv.Len())
-	}
-}
-
-func TestGridSlotsOverlapping(t *testing.T) {
-	g := NewGrid(Hour, Day)
-	first, last := g.SlotsOverlapping(Interval{Start: At(0, 1, 30, 0), End: At(0, 3, 30, 0)})
-	if first != 1 || last != 3 {
-		t.Errorf("SlotsOverlapping = (%d, %d), want (1, 3)", first, last)
-	}
-	first, last = g.SlotsOverlapping(Interval{Start: -100, End: -50})
-	if first != -1 || last != -1 {
-		t.Errorf("out-of-range overlap = (%d, %d)", first, last)
-	}
-	// Exact slot boundary: [1h, 2h) overlaps only slot 1.
-	first, last = g.SlotsOverlapping(Interval{Start: At(0, 1, 0, 0), End: At(0, 2, 0, 0)})
-	if first != 1 || last != 1 {
-		t.Errorf("boundary overlap = (%d, %d), want (1, 1)", first, last)
-	}
-}
-
-func TestGridPanics(t *testing.T) {
-	for name, fn := range map[string]func(){
-		"zero width":        func() { NewGrid(0, Day) },
-		"negative horizon":  func() { NewGrid(Hour, -1) },
-		"slot out of range": func() { DayGrid().SlotInterval(24) },
-	} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("%s: no panic", name)
-				}
-			}()
-			fn()
-		}()
-	}
-}

@@ -1,36 +1,28 @@
 // Package telemetry rolls per-device metrics snapshots up into fleet
 // aggregates. A single simulated device exports a metrics.Snapshot; a
-// cohort run produces one per device; this package merges them into one
+// cohort run produces one per device; this package folds them into one
 // FleetSnapshot — counters summed, gauges reduced to min/mean/max,
 // histograms merged bucket-wise with deterministic quantile estimates —
 // the population-level view the paper's headline numbers are stated in.
 //
-// The merge is *exactly* associative and order-insensitive, which is the
-// property that lets sharded cohorts roll up in parallel without
-// changing the answer:
-//
-//   - Integer state (counter values, histogram bucket counts) merges by
-//     int64 addition — exact in any order.
-//   - Float state (gauge values, histogram sums) is never added during a
-//     merge. It is kept per device, merges as map union, and is folded
-//     in sorted device-ID order only at Export time — so the float
-//     additions happen in one canonical order no matter how the
-//     aggregates were combined.
-//
-// Two aggregates built from the same device set therefore export
-// byte-identical JSON regardless of aggregation order or sharding, a
-// property the package's tests pin with random permutations and
-// association trees.
+// An Agg holds the validated snapshots themselves, keyed by device ID,
+// and folds them once, at Export, in sorted device-ID order. Adding and
+// merging are therefore map union, and every float addition (gauge
+// means, histogram sums) happens in one canonical order no matter how
+// the aggregate was built. Two aggregates over the same device set
+// export byte-identical JSON regardless of aggregation order or
+// sharding, a property the package's tests pin with random
+// permutations and association trees.
 package telemetry
 
 import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"slices"
 	"sort"
 
 	"netmaster/internal/metrics"
-	"netmaster/internal/parallel"
 	"netmaster/internal/simtime"
 )
 
@@ -41,42 +33,38 @@ type Device struct {
 	Snapshot metrics.Snapshot
 }
 
-// histDev is one device's share of a histogram: bucket counts are stored
-// non-cumulative so device merging is plain addition per bucket.
-type histDev struct {
-	buckets  []int64
-	overflow int64
-	count    int64
-	sum      float64
-}
-
-// histAgg is a histogram's merge state: the common bounds plus each
-// device's contribution.
-type histAgg struct {
-	bounds    []float64
-	perDevice map[string]histDev
+// Validate checks what can be checked of one device on its own: a
+// non-empty ID, and one cumulative bucket per bound in every
+// histogram. Agg.Add runs it first; a serve tier runs it at ingest so
+// a malformed snapshot is refused before it is stored.
+func (d Device) Validate() error {
+	if d.ID == "" {
+		return fmt.Errorf("telemetry: device with empty ID")
+	}
+	for name, hs := range d.Snapshot.Histograms {
+		if len(hs.Buckets) != len(hs.Bounds) {
+			return fmt.Errorf("telemetry: histogram %q malformed on device %q: %d buckets for %d bounds",
+				name, d.ID, len(hs.Buckets), len(hs.Bounds))
+		}
+	}
+	return nil
 }
 
 // Agg is a mergeable fleet aggregate. The zero value is not usable;
-// build one with Aggregate (possibly over zero devices) and combine with
-// Merge. All internal state is keyed by device ID, so combining two
-// aggregates is map union — exactly associative and commutative.
+// build one with NewAgg or Aggregate (possibly over zero devices) and
+// combine with Merge. It keeps each device's snapshot plus the fleet's
+// shared bounds per histogram name, so combining two aggregates is map
+// union — exactly associative and commutative.
 type Agg struct {
-	devices  map[string]bool
-	simTimes map[string]simtime.Instant
-	counters map[string]map[string]int64
-	gauges   map[string]map[string]float64
-	hists    map[string]*histAgg
+	devices map[string]metrics.Snapshot
+	bounds  map[string][]float64
 }
 
 // NewAgg returns an empty aggregate.
 func NewAgg() *Agg {
 	return &Agg{
-		devices:  map[string]bool{},
-		simTimes: map[string]simtime.Instant{},
-		counters: map[string]map[string]int64{},
-		gauges:   map[string]map[string]float64{},
-		hists:    map[string]*histAgg{},
+		devices: map[string]metrics.Snapshot{},
+		bounds:  map[string][]float64{},
 	}
 }
 
@@ -93,76 +81,29 @@ func Aggregate(devs ...Device) (*Agg, error) {
 	return a, nil
 }
 
-// Add folds one device snapshot into the aggregate.
+// Add adds one device snapshot to the aggregate, or leaves the
+// aggregate untouched and returns an error. The aggregate keeps the
+// snapshot's maps and slices rather than copying them, so the caller
+// must not mutate a snapshot after adding it.
 func (a *Agg) Add(d Device) error {
-	if d.ID == "" {
-		return fmt.Errorf("telemetry: device with empty ID")
+	if err := d.Validate(); err != nil {
+		return err
 	}
-	if a.devices[d.ID] {
+	if _, dup := a.devices[d.ID]; dup {
 		return fmt.Errorf("telemetry: device %q aggregated twice", d.ID)
 	}
-	a.devices[d.ID] = true
-	a.simTimes[d.ID] = d.Snapshot.SimTime
-	for name, v := range d.Snapshot.Counters {
-		m := a.counters[name]
-		if m == nil {
-			m = map[string]int64{}
-			a.counters[name] = m
-		}
-		m[d.ID] = v
-	}
-	for name, v := range d.Snapshot.Gauges {
-		m := a.gauges[name]
-		if m == nil {
-			m = map[string]float64{}
-			a.gauges[name] = m
-		}
-		m[d.ID] = v
-	}
 	for name, hs := range d.Snapshot.Histograms {
-		h := a.hists[name]
-		if h == nil {
-			h = &histAgg{
-				bounds:    append([]float64(nil), hs.Bounds...),
-				perDevice: map[string]histDev{},
-			}
-			a.hists[name] = h
-		}
-		if !boundsEqual(h.bounds, hs.Bounds) {
+		if b, ok := a.bounds[name]; ok && !slices.Equal(b, hs.Bounds) {
 			return fmt.Errorf("telemetry: histogram %q bounds differ on device %q", name, d.ID)
 		}
-		if len(hs.Buckets) != len(hs.Bounds) {
-			return fmt.Errorf("telemetry: histogram %q malformed on device %q: %d buckets for %d bounds",
-				name, d.ID, len(hs.Buckets), len(hs.Bounds))
+	}
+	a.devices[d.ID] = d.Snapshot
+	for name, hs := range d.Snapshot.Histograms {
+		if _, ok := a.bounds[name]; !ok {
+			a.bounds[name] = hs.Bounds
 		}
-		// Snapshot buckets are cumulative; store per-bucket deltas so
-		// merging devices is plain integer addition.
-		dev := histDev{
-			buckets:  make([]int64, len(hs.Buckets)),
-			overflow: hs.Overflow,
-			count:    hs.Count,
-			sum:      hs.Sum,
-		}
-		var prev int64
-		for i, cum := range hs.Buckets {
-			dev.buckets[i] = cum - prev
-			prev = cum
-		}
-		h.perDevice[d.ID] = dev
 	}
 	return nil
-}
-
-func boundsEqual(a, b []float64) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }
 
 // Merge combines aggregates into a new one. Each device may appear in at
@@ -181,86 +122,37 @@ func Merge(parts ...*Agg) (*Agg, error) {
 	return out, nil
 }
 
-// MergeFrom folds another aggregate into this one (map union).
+// MergeFrom folds another aggregate into this one (map union), or
+// leaves this one untouched and returns an error.
 func (a *Agg) MergeFrom(b *Agg) error {
 	for id := range b.devices {
-		if a.devices[id] {
+		if _, dup := a.devices[id]; dup {
 			return fmt.Errorf("telemetry: device %q aggregated twice", id)
 		}
-		a.devices[id] = true
-		a.simTimes[id] = b.simTimes[id]
 	}
-	for name, m := range b.counters {
-		dst := a.counters[name]
-		if dst == nil {
-			dst = map[string]int64{}
-			a.counters[name] = dst
-		}
-		for id, v := range m {
-			dst[id] = v
-		}
-	}
-	for name, m := range b.gauges {
-		dst := a.gauges[name]
-		if dst == nil {
-			dst = map[string]float64{}
-			a.gauges[name] = dst
-		}
-		for id, v := range m {
-			dst[id] = v
-		}
-	}
-	for name, h := range b.hists {
-		dst := a.hists[name]
-		if dst == nil {
-			dst = &histAgg{
-				bounds:    append([]float64(nil), h.bounds...),
-				perDevice: map[string]histDev{},
-			}
-			a.hists[name] = dst
-		}
-		if !boundsEqual(dst.bounds, h.bounds) {
+	for name, bb := range b.bounds {
+		if ab, ok := a.bounds[name]; ok && !slices.Equal(ab, bb) {
 			return fmt.Errorf("telemetry: histogram %q bounds differ between shards", name)
 		}
-		for id, dev := range h.perDevice {
-			dst.perDevice[id] = dev
+	}
+	for id, s := range b.devices {
+		a.devices[id] = s
+	}
+	for name, bb := range b.bounds {
+		if _, ok := a.bounds[name]; !ok {
+			a.bounds[name] = bb
 		}
 	}
 	return nil
 }
 
-// AggregateParallel shards the devices across the worker pool, builds a
-// per-shard aggregate on each worker via internal/parallel, and merges
-// the shards. Because the merge is exactly associative and
-// order-insensitive, the result is byte-identical to Aggregate(devs...)
-// for every worker count.
+// AggregateParallel returns Aggregate(devs...); workers is ignored.
+// Adding a device only stores its snapshot, so there is nothing left
+// to shard.
+//
+// Deprecated: use Aggregate.
 func AggregateParallel(workers int, devs []Device) (*Agg, error) {
-	if workers < 1 {
-		workers = 1
-	}
-	shards := workers
-	if shards > len(devs) {
-		shards = len(devs)
-	}
-	if shards <= 1 {
-		return Aggregate(devs...)
-	}
-	per := (len(devs) + shards - 1) / shards
-	parts, err := parallel.MapN(workers, shards, func(i int) (*Agg, error) {
-		lo := i * per
-		if lo > len(devs) {
-			lo = len(devs)
-		}
-		hi := lo + per
-		if hi > len(devs) {
-			hi = len(devs)
-		}
-		return Aggregate(devs[lo:hi]...)
-	})
-	if err != nil {
-		return nil, err
-	}
-	return Merge(parts...)
+	return Aggregate(devs...)
 }
 
 // CounterStat is a counter's fleet rollup: the sum across devices plus
@@ -306,9 +198,10 @@ type FleetSnapshot struct {
 	Histograms map[string]HistogramStat `json:"histograms"`
 }
 
-// Export freezes the aggregate into its canonical fleet snapshot. Every
-// float fold runs in sorted device-ID order, so the output is a pure
-// function of the device set.
+// Export freezes the aggregate into its canonical fleet snapshot. It
+// walks the devices once in sorted ID order, so every float sum adds
+// the same values in the same order for a given device set, and the
+// output is a pure function of that set.
 func (a *Agg) Export() FleetSnapshot {
 	fs := FleetSnapshot{
 		Devices:    len(a.devices),
@@ -317,68 +210,67 @@ func (a *Agg) Export() FleetSnapshot {
 		Gauges:     map[string]GaugeStat{},
 		Histograms: map[string]HistogramStat{},
 	}
+	gaugeSums := map[string]float64{}
 	for _, id := range fs.DeviceIDs {
-		if t := a.simTimes[id]; t > fs.SimTime {
-			fs.SimTime = t
+		s := a.devices[id]
+		if s.SimTime > fs.SimTime {
+			fs.SimTime = s.SimTime
 		}
-	}
-	for name, m := range a.counters {
-		st := CounterStat{Devices: len(m)}
-		first := true
-		for _, id := range sortedKeys(m) {
-			v := m[id]
+		for name, v := range s.Counters {
+			st, ok := fs.Counters[name]
+			if !ok {
+				st = CounterStat{Min: v, Max: v}
+			}
 			st.Total += v
-			if first || v < st.Min {
+			if v < st.Min {
 				st.Min = v
 			}
-			if first || v > st.Max {
+			if v > st.Max {
 				st.Max = v
 			}
-			first = false
+			st.Devices++
+			fs.Counters[name] = st
 		}
-		fs.Counters[name] = st
+		for name, v := range s.Gauges {
+			st, ok := fs.Gauges[name]
+			if !ok {
+				st = GaugeStat{Min: v, Max: v}
+			}
+			if v < st.Min {
+				st.Min = v
+			}
+			if v > st.Max {
+				st.Max = v
+			}
+			st.Devices++
+			fs.Gauges[name] = st
+			gaugeSums[name] += v
+		}
+		for name, hs := range s.Histograms {
+			st, ok := fs.Histograms[name]
+			if !ok {
+				st = HistogramStat{
+					Bounds:  append([]float64(nil), a.bounds[name]...),
+					Buckets: make([]int64, len(hs.Buckets)),
+				}
+			}
+			// Cumulative counts add up to the fleet's cumulative
+			// counts: integer addition, exact in any order.
+			for i, c := range hs.Buckets {
+				st.Buckets[i] += c
+			}
+			st.Overflow += hs.Overflow
+			st.Count += hs.Count
+			st.Sum += hs.Sum
+			st.Devices++
+			fs.Histograms[name] = st
+		}
 	}
-	for name, m := range a.gauges {
-		st := GaugeStat{Devices: len(m)}
-		var sum float64
-		first := true
-		for _, id := range sortedKeys(m) {
-			v := m[id]
-			sum += v
-			if first || v < st.Min {
-				st.Min = v
-			}
-			if first || v > st.Max {
-				st.Max = v
-			}
-			first = false
-		}
-		if st.Devices > 0 {
-			st.Mean = sum / float64(st.Devices)
-		}
+	for name, st := range fs.Gauges {
+		st.Mean = gaugeSums[name] / float64(st.Devices)
 		fs.Gauges[name] = st
 	}
-	for name, h := range a.hists {
-		st := HistogramStat{
-			Bounds:  append([]float64(nil), h.bounds...),
-			Buckets: make([]int64, len(h.bounds)),
-			Devices: len(h.perDevice),
-		}
-		perBucket := make([]int64, len(h.bounds))
-		for _, id := range sortedKeys(h.perDevice) {
-			dev := h.perDevice[id]
-			for i, v := range dev.buckets {
-				perBucket[i] += v
-			}
-			st.Overflow += dev.overflow
-			st.Count += dev.count
-			st.Sum += dev.sum
-		}
-		var cum int64
-		for i, v := range perBucket {
-			cum += v
-			st.Buckets[i] = cum
-		}
+	for name, st := range fs.Histograms {
 		st.P50 = Quantile(st, 0.50)
 		st.P90 = Quantile(st, 0.90)
 		st.P99 = Quantile(st, 0.99)

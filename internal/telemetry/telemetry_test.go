@@ -174,6 +174,61 @@ func TestAggregateRejectsDuplicatesAndMismatchedBounds(t *testing.T) {
 	}
 }
 
+// A failed Add or MergeFrom must leave the aggregate exactly as it was:
+// a device refused for mismatched bounds or a malformed histogram is
+// not counted, and a corrected retry of it succeeds.
+func TestFailedAddLeavesAggregateUntouched(t *testing.T) {
+	mk := func(id string, n int64, bounds []float64, buckets []int64) Device {
+		return Device{ID: id, Snapshot: metrics.Snapshot{
+			Counters:   map[string]int64{"n_total": n},
+			Histograms: map[string]metrics.HistogramSnapshot{"h": {Bounds: bounds, Buckets: buckets}},
+		}}
+	}
+	good := mk("a", 1, []float64{1, 10}, []int64{1, 2})
+	a, err := Aggregate(good)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := exportBytes(t, a)
+	for _, bad := range []Device{
+		mk("b", 5, []float64{2, 20}, []int64{1, 2}), // bounds differ from the fleet's
+		mk("b", 5, []float64{1, 10}, []int64{1}),    // one bucket short
+		mk("a", 5, []float64{1, 10}, []int64{1, 2}), // duplicate ID
+		mk("", 5, []float64{1, 10}, []int64{1, 2}),  // empty ID
+	} {
+		if err := a.Add(bad); err == nil {
+			t.Fatalf("Add(%+v) accepted", bad)
+		}
+		if got := exportBytes(t, a); !bytes.Equal(got, want) {
+			t.Fatalf("failed Add(%q) changed the aggregate:\n%s", bad.ID, got)
+		}
+	}
+	if err := a.Add(mk("b", 5, []float64{1, 10}, []int64{3, 4})); err != nil {
+		t.Fatalf("corrected retry refused: %v", err)
+	}
+	if st := a.Export().Counters["n_total"]; st.Total != 6 || st.Devices != 2 {
+		t.Fatalf("after retry: counter stat = %+v, want total 6 over 2 devices", st)
+	}
+
+	want = exportBytes(t, a)
+	for _, part := range []Device{
+		mk("c", 7, []float64{3}, []int64{1}),        // bounds differ between shards
+		mk("b", 7, []float64{1, 10}, []int64{1, 2}), // device already present
+	} {
+		z := Device{ID: "z", Snapshot: metrics.Snapshot{Counters: map[string]int64{"n_total": 9}}}
+		other, err := Aggregate(z, part)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := a.MergeFrom(other); err == nil {
+			t.Fatalf("MergeFrom with %q accepted", part.ID)
+		}
+		if got := exportBytes(t, a); !bytes.Equal(got, want) {
+			t.Fatalf("failed MergeFrom with %q changed the aggregate:\n%s", part.ID, got)
+		}
+	}
+}
+
 // Counters sum exactly; gauges reduce to min/mean/max; histograms merge
 // bucket-wise.
 func TestExportSemantics(t *testing.T) {
@@ -207,6 +262,50 @@ func TestExportSemantics(t *testing.T) {
 	}
 	if h.Buckets[0] != 4 || h.Buckets[1] != 8 {
 		t.Fatalf("merged buckets = %v", h.Buckets)
+	}
+}
+
+// BenchmarkAggregate is the fleet fold a fleet read pays: Aggregate
+// plus Export over 500 devices, each with 27 counters, 2 gauges and one
+// 11-bucket histogram.
+func BenchmarkAggregate(b *testing.B) {
+	rng := rand.New(rand.NewSource(29))
+	bounds := []float64{0.5, 1, 2, 5, 10, 30, 60, 300, 900, 1800, 3600}
+	devs := make([]Device, 500)
+	for i := range devs {
+		s := metrics.Snapshot{
+			SimTime:  simtime.Instant(rng.Int63n(1 << 20)),
+			Counters: map[string]int64{},
+			Gauges: map[string]float64{
+				"mw_mode":              float64(rng.Intn(3)),
+				"sched_last_objective": rng.NormFloat64() * 1e3,
+			},
+		}
+		for c := 0; c < 27; c++ {
+			s.Counters[fmt.Sprintf("counter_%02d_total", c)] = rng.Int63n(1 << 30)
+		}
+		hs := metrics.HistogramSnapshot{Bounds: bounds, Buckets: make([]int64, len(bounds))}
+		var cum int64
+		for j := range bounds {
+			cum += rng.Int63n(100)
+			hs.Buckets[j] = cum
+		}
+		hs.Overflow = rng.Int63n(10)
+		hs.Count = cum + hs.Overflow
+		hs.Sum = rng.Float64() * 1e6
+		s.Histograms = map[string]metrics.HistogramSnapshot{"replay_defer_seconds": hs}
+		devs[i] = Device{ID: fmt.Sprintf("device-%04d", i), Snapshot: s}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		a, err := Aggregate(devs...)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if fs := a.Export(); fs.Devices != len(devs) {
+			b.Fatalf("exported %d devices, want %d", fs.Devices, len(devs))
+		}
 	}
 }
 
