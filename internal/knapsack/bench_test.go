@@ -27,6 +27,27 @@ func BenchmarkSinKnap100(b *testing.B) {
 	}
 }
 
+// BenchmarkSinKnapFits is the served-traffic shape: a slot's ~47
+// screen-off transfers all fit its Eq. 5 capacity, so SinKnap takes the
+// slack shortcut instead of the DP that BenchmarkSinKnap100 exercises.
+func BenchmarkSinKnapFits(b *testing.B) {
+	items := benchItems(47, 50)
+	var total int64
+	for _, it := range items {
+		total += it.Weight
+	}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		sol, err := SinKnap(items, total, 0.1)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if len(sol.IDs) == 0 {
+			b.Fatal("empty packing")
+		}
+	}
+}
+
 func BenchmarkExactDP100(b *testing.B) {
 	items := benchItems(100, 50)
 	b.ReportAllocs()

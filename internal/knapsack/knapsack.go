@@ -213,6 +213,31 @@ func SinKnap(items []Item, capacity int64, eps float64) (Solution, error) {
 		totalScaled += scaled[i]
 	}
 
+	// Slack shortcut: when the items the DP can take (scaled profit > 0)
+	// fit together, level totalScaled is reachable, and only by taking
+	// all of them, so the DP's answer is exactly that set. Collect it in
+	// the chain walk's order (reverse item order) so Profit sums the
+	// same way and the result is bit-identical. remaining is ≥ 0 before
+	// each subtraction, so it cannot overflow.
+	remaining := capacity
+	for i := 0; i < len(feas) && remaining >= 0; i++ {
+		if scaled[i] > 0 {
+			remaining -= feas[i].Weight
+		}
+	}
+	if remaining >= 0 {
+		var all Solution
+		for i := len(feas) - 1; i >= 0; i-- {
+			if scaled[i] > 0 {
+				all.IDs = append(all.IDs, feas[i].ID)
+				all.Profit += feas[i].Profit
+				all.Weight += feas[i].Weight
+			}
+		}
+		all.normalize()
+		return all, nil
+	}
+
 	// DP over exact scaled profit: dp[p] holds the minimum weight
 	// achieving scaled profit p, plus an immutable selection list.
 	// Selection nodes live in an append-only index arena (sel is an

@@ -89,34 +89,82 @@ func sinKnapPointerChain(items []Item, capacity int64, eps float64) (Solution, e
 // TestSinKnapMatchesPointerChainReference cross-checks the arena-based
 // SinKnap against the original pointer-chained implementation on random
 // instances: the selection logic is unchanged, so the solutions must be
-// identical item for item.
+// identical item for item. The capacities around the instance's total
+// weight straddle the slack shortcut (every item fits, so the DP is
+// skipped), and the tiny profits scale to zero, which both paths must
+// leave out.
 func TestSinKnapMatchesPointerChainReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(2024))
 	for trial := 0; trial < 200; trial++ {
 		n := 1 + rng.Intn(60)
 		items := make([]Item, n)
+		var total int64
 		for i := range items {
 			items[i] = Item{ID: i, Profit: rng.Float64() * 100, Weight: rng.Int63n(80) + 1}
-		}
-		capacity := rng.Int63n(1500) + 1
-		eps := 0.02 + rng.Float64()*0.5
-		got, err := SinKnap(items, capacity, eps)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want, err := sinKnapPointerChain(items, capacity, eps)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got.Profit != want.Profit || got.Weight != want.Weight || len(got.IDs) != len(want.IDs) {
-			t.Fatalf("trial %d: arena %+v != reference %+v", trial, got, want)
-		}
-		for i := range got.IDs {
-			if got.IDs[i] != want.IDs[i] {
-				t.Fatalf("trial %d: IDs differ: %v vs %v", trial, got.IDs, want.IDs)
+			if trial%2 == 1 && rng.Intn(4) == 0 {
+				items[i].Profit = rng.Float64() * 1e-6
 			}
+			total += items[i].Weight
+		}
+		eps := 0.02 + rng.Float64()*0.5
+		for _, capacity := range []int64{rng.Int63n(1500) + 1, total - 1, total, total + 1, total + 1_000_000} {
+			label := fmt.Sprintf("trial %d capacity %d/%d", trial, capacity, total)
+			got, err := SinKnap(items, capacity, eps)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := sinKnapPointerChain(items, capacity, eps)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sameSolution(t, label, got, want)
 		}
 	}
+}
+
+// sameSolution fails unless got and want are bit-identical: the same
+// IDs, the same weight and the same float64 profit bits.
+func sameSolution(t *testing.T, label string, got, want Solution) {
+	t.Helper()
+	if math.Float64bits(got.Profit) != math.Float64bits(want.Profit) || got.Weight != want.Weight || len(got.IDs) != len(want.IDs) {
+		t.Fatalf("%s: arena %+v != reference %+v", label, got, want)
+	}
+	for i := range got.IDs {
+		if got.IDs[i] != want.IDs[i] {
+			t.Fatalf("%s: IDs differ: %v vs %v", label, got.IDs, want.IDs)
+		}
+	}
+}
+
+// TestSolveGreedyWinsOnZeroScaledItems: when everything fits, SinKnap
+// drops items whose profit scales to zero, while Greedy packs them all,
+// so Solve must return Greedy's strictly better packing.
+func TestSolveGreedyWinsOnZeroScaledItems(t *testing.T) {
+	items := []Item{
+		{ID: 0, Profit: 100, Weight: 10},
+		{ID: 1, Profit: 0.001, Weight: 1},
+		{ID: 2, Profit: 0.002, Weight: 1},
+	}
+	const capacity, eps = 1000, 0.5
+	fp, err := SinKnap(items, capacity, eps)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(fp.IDs) != 1 || fp.IDs[0] != 0 {
+		t.Fatalf("SinKnap = %+v, want only item 0 (the others scale to zero)", fp)
+	}
+	gr, err := Greedy(items, capacity)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := Solve(items, capacity, eps)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if s.Profit <= fp.Profit || len(s.IDs) != 3 || s.Weight != 12 {
+		t.Fatalf("Solve = %+v, want Greedy's packing of all three items", s)
+	}
+	sameSolution(t, "Solve vs Greedy", s, gr)
 }
 
 // BenchmarkSinKnapOldVsNew measures the allocation diet: the old

@@ -217,18 +217,29 @@ func (s *Server) handleProfileUpdate(w http.ResponseWriter, r *http.Request) err
 		}
 	}
 	// "hit" here means this exact fold history was already cached — the
-	// update was a no-op for the cache, if not for the fold work.
-	_, hit := s.profiles.Get(id)
+	// update was a no-op for the cache, if not for the fold work. The
+	// response comes from the entry in hand, never from a second lookup,
+	// which a disabled cache or a concurrent eviction would miss.
+	v, hit := s.profiles.Get(id)
+	e, _ := v.(*profileEntry)
 	if !hit {
 		s.mCacheMiss.Inc()
 		s.mProfMiss.Inc()
-		s.storeProfile(id, &profileEntry{sketch: sk, profile: sk.Profile()})
+		e = &profileEntry{sketch: sk, profile: sk.Profile()}
 	} else {
 		s.mCacheHit.Inc()
 		s.mProfHit.Inc()
 	}
-	v, _ := s.profiles.Get(id)
-	p := v.(*profileEntry).profile
+	// The child is the device's live head (a hit revives it if it was
+	// demoted) and the base it replaced is superseded: demoting the base
+	// makes it evicted before any live head, so devices that sit idle
+	// while others update keep their profiles. A retried update from
+	// the base still finds it until the cache is that full.
+	s.storeProfile(id, e)
+	if req.ProfileID != "" && req.ProfileID != id {
+		s.profiles.Demote(req.ProfileID)
+	}
+	p := e.profile
 
 	resp := ProfileUpdateResponse{
 		ProfileID:     id,

@@ -155,3 +155,75 @@ func TestGenAliasSkipsGeneration(t *testing.T) {
 		t.Errorf("config change did not change the profile ID")
 	}
 }
+
+// TestProfileCacheKeepsIdleHeads: with a small profile cache, one
+// device folding more days than the cache holds must not evict the
+// current profiles of devices that sat idle meanwhile — each update
+// demotes the base it replaced, and demoted bases go first. A base
+// superseded a few updates ago still takes a retried update.
+func TestProfileCacheKeepsIdleHeads(t *testing.T) {
+	const cacheSize = 8
+	_, _, c := testServer(t, func(cfg *Config) { cfg.CacheSize = cacheSize })
+	ctx := context.Background()
+
+	heads := map[string]string{}
+	for _, user := range []string{"volunteer1", "volunteer2", "user4"} {
+		up, err := c.ProfileUpdate(ctx, ProfileUpdateRequest{Gen: &GenSpec{User: user, Days: 7}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		heads[user] = up.ProfileID
+	}
+
+	// volunteer1 folds one day at a time; ids[n] is its head after
+	// folding day 7+n.
+	var ids []string
+	for day := 7; day < 7+cacheSize+4; day++ {
+		up, err := c.ProfileUpdate(ctx, ProfileUpdateRequest{
+			ProfileID: heads["volunteer1"], Gen: &GenSpec{User: "volunteer1", Days: day + 1}, Day: intp(day)})
+		if err != nil {
+			t.Fatalf("day %d: %v", day, err)
+		}
+		heads["volunteer1"] = up.ProfileID
+		ids = append(ids, up.ProfileID)
+	}
+
+	acts := []ActivityJSON{{ID: 1, TimeSecs: 20 * 86400, Bytes: 500_000, ActiveSecs: 5}}
+	for user, id := range heads {
+		if _, err := c.Schedule(ctx, ScheduleRequest{ProfileID: id, Day: 20, Activities: acts}); err != nil {
+			t.Errorf("%s head %s: %v", user, id, err)
+		}
+	}
+
+	// Retry the update that replaced ids[n-4], three updates back.
+	n := len(ids)
+	day := 7 + n - 3
+	up, err := c.ProfileUpdate(ctx, ProfileUpdateRequest{
+		ProfileID: ids[n-4], Gen: &GenSpec{User: "volunteer1", Days: day + 1}, Day: intp(day)})
+	if err != nil {
+		t.Fatalf("retried update: %v", err)
+	}
+	if up.ProfileID != ids[n-3] {
+		t.Errorf("retried update = %s, want %s", up.ProfileID, ids[n-3])
+	}
+}
+
+// TestProfileUpdateCacheDisabled: with CacheSize 0 an update still
+// answers from the sketch it folded (a based update then cannot find
+// its base, which is the documented cost of no cache).
+func TestProfileUpdateCacheDisabled(t *testing.T) {
+	_, _, c := testServer(t, func(cfg *Config) { cfg.CacheSize = 0 })
+	ctx := context.Background()
+	up, err := c.ProfileUpdate(ctx, ProfileUpdateRequest{Gen: &GenSpec{User: "user4", Days: 14}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if up.ProfileID == "" || up.Days != 14 || up.UserID != "user4" {
+		t.Errorf("update response = %+v", up)
+	}
+	_, err = c.ProfileUpdate(ctx, ProfileUpdateRequest{ProfileID: up.ProfileID, Gen: &GenSpec{User: "user4", Days: 15}, Day: intp(14)})
+	var ae *apiError
+	if !errors.As(err, &ae) || ae.Code != http.StatusNotFound || ae.Kind != "unknown_profile" {
+		t.Errorf("based update with no cache: err = %v, want 404 unknown_profile", err)
+	}
+}
