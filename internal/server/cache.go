@@ -117,10 +117,10 @@ func (c *lru) Len() int {
 }
 
 // each visits entries in eviction order — demoted, then live, each
-// from least to most recently used. For a cache that never demotes
-// (the snapshot's persisted set and batch acks) that is the order a
-// snapshot must record so re-inserting them rebuilds the same recency
-// state.
+// from least to most recently used. A snapshot records profiles and
+// batch acks in this order, so re-inserting them rebuilds the same
+// eviction order; a demoted profile comes back live, at the eviction
+// end.
 func (c *lru) each(visit func(key string, val any)) {
 	c.mu.Lock()
 	defer c.mu.Unlock()

@@ -180,14 +180,11 @@ func (s *Server) scheduleOne(ctx context.Context, req *ScheduleRequest) (*Schedu
 	var id string
 	hit := false
 	if req.ProfileID != "" {
-		v, ok := s.profiles.Get(req.ProfileID)
-		if !ok {
-			return nil, false, &apiError{Code: http.StatusNotFound, Kind: "unknown_profile",
-				Msg: fmt.Sprintf("profile %s not cached; re-mine or pass the trace", req.ProfileID)}
+		e, cerr := s.cachedProfile(req.ProfileID)
+		if cerr != nil {
+			return nil, false, cerr
 		}
-		s.mCacheHit.Inc()
-		s.mProfHit.Inc()
-		profile, id, hit = v.(*profileEntry).profile, req.ProfileID, true
+		profile, id, hit = e.profile, req.ProfileID, true
 	} else {
 		e, eid, ehit, rerr := s.resolveProfile(req.Trace, req.Gen, habitConfig(req.MineConfig))
 		if rerr != nil {

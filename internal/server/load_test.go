@@ -124,7 +124,7 @@ func TestConcurrentLoad(t *testing.T) {
 	}
 
 	snap := reg.Snapshot()
-	if hits := snap.Counters["server_cache_hits_total"]; hits == 0 {
+	if hits := snap.Counters["server_profile_cache_hits_total"]; hits == 0 {
 		t.Error("no cache hits under repeated identical mining")
 	}
 	// /healthz is served outside the limited() spine, so only 3 of the

@@ -1,11 +1,11 @@
 // Durable serve state. With Config.StateDir set, every acknowledged
 // /v1/fleet/ingest and /v1/profile/update is appended to a write-ahead
 // journal (internal/store) before the response is written, and the full
-// state — the sorted-device fleet plus persisted profile sketches — is
-// periodically compacted into a snapshot. Startup recovery loads the
-// latest valid snapshot, replays the journal tail and re-compacts, so a
-// crashed daemon comes back with byte-identical fleet reports and
-// profile IDs. When the journal becomes unwritable the daemon degrades
+// state — the sorted-device fleet plus the journaled sketches of the
+// cached profiles — is periodically compacted into a snapshot. Startup
+// recovery loads the latest valid snapshot, replays the journal tail
+// and re-compacts, so a crashed daemon comes back with byte-identical
+// fleet reports and profile IDs. When the journal becomes unwritable the daemon degrades
 // to read-only (typed 503 on mutating endpoints) instead of silently
 // dropping ingests.
 package server
@@ -45,7 +45,7 @@ type snapshotDevice struct {
 	Ingest   *IngestRequest `json:"ingest"`
 }
 
-// snapshotProfile is one persisted profile inside a snapshot document.
+// snapshotProfile is one journaled profile inside a snapshot document.
 type snapshotProfile struct {
 	ID     string `json:"id"`
 	Sketch []byte `json:"sketch"`
@@ -160,7 +160,7 @@ func (s *Server) applyIngest(req *IngestRequest) {
 	s.fleetMu.Unlock()
 }
 
-// applyProfile restores one persisted profile sketch, refusing blobs
+// applyProfile restores one journaled profile sketch, refusing blobs
 // whose decoded state does not hash back to the recorded ID.
 func (s *Server) applyProfile(id string, blob []byte) error {
 	sk, err := habit.UnmarshalSketch(blob)
@@ -171,8 +171,7 @@ func (s *Server) applyProfile(id string, blob []byte) error {
 		return fmt.Errorf("server: state recovery: %w: profile blob hashes to %s, journal says %s",
 			store.ErrCorrupt, got, id)
 	}
-	s.profiles.Put(id, &profileEntry{sketch: sk, profile: sk.Profile()})
-	s.persisted.Put(id, blob)
+	s.profiles.Put(id, &profileEntry{sketch: sk, profile: sk.Profile(), blob: blob})
 	return nil
 }
 
@@ -194,31 +193,37 @@ func (s *Server) ingestDurable(req *IngestRequest) error {
 	return nil
 }
 
-// persistProfile journals one profile sketch state (id already verified
-// to be sk.Hash()) before the handler acks. Already-persisted IDs are
-// skipped: the journal records state transitions, not cache traffic.
-func (s *Server) persistProfile(id string, sk *habit.Sketch) error {
+// persistProfile journals one profile state (id already verified to be
+// e.sketch.Hash()) before the handler acks, and returns the entry that
+// carries its blob. An ID whose cached entry already has a blob is not
+// journaled again: the journal records state transitions, not cache
+// traffic. The append and the Put of the entry with its blob share one
+// stateMu section, so a compaction never snapshots one without the
+// other.
+func (s *Server) persistProfile(id string, e *profileEntry) (*profileEntry, error) {
+	if e.blob == nil {
+		blob, err := e.sketch.MarshalBinary()
+		if err != nil {
+			return nil, &apiError{Code: http.StatusInternalServerError, Kind: "internal",
+				Msg: fmt.Sprintf("serialise profile %s: %v", id, err)}
+		}
+		e = &profileEntry{sketch: e.sketch, profile: e.profile, blob: blob}
+	}
 	s.stateMu.Lock()
-	if _, ok := s.persisted.Get(id); ok {
+	if v, ok := s.profiles.Get(id); ok && v.(*profileEntry).blob != nil {
 		s.stateMu.Unlock()
-		return nil
+		return v.(*profileEntry), nil
 	}
-	blob, err := sk.MarshalBinary()
-	if err != nil {
-		s.stateMu.Unlock()
-		return &apiError{Code: http.StatusInternalServerError, Kind: "internal",
-			Msg: fmt.Sprintf("serialise profile %s: %v", id, err)}
-	}
-	aerr := s.journalAppend(&walRecord{Kind: "profile", ProfileID: id, Sketch: blob})
-	if aerr == nil {
-		s.persisted.Put(id, blob)
+	err := s.journalAppend(&walRecord{Kind: "profile", ProfileID: id, Sketch: e.blob})
+	if err == nil {
+		s.storeProfile(id, e) // takes no lock for an entry with a blob
 	}
 	s.stateMu.Unlock()
-	if aerr != nil {
-		return aerr
+	if err != nil {
+		return nil, err
 	}
 	s.maybeCompact()
-	return nil
+	return e, nil
 }
 
 // journalAppend appends one record; callers hold stateMu.
@@ -258,8 +263,10 @@ func (s *Server) compactLocked() error {
 		req := &IngestRequest{DeviceID: id, Metrics: d.metrics, Header: d.header, Events: d.events}
 		doc.Devices = append(doc.Devices, snapshotDevice{DeviceID: id, Ingest: req})
 	})
-	s.persisted.each(func(key string, val any) {
-		doc.Profiles = append(doc.Profiles, snapshotProfile{ID: key, Sketch: val.([]byte)})
+	s.profiles.each(func(key string, val any) {
+		if blob := val.(*profileEntry).blob; blob != nil {
+			doc.Profiles = append(doc.Profiles, snapshotProfile{ID: key, Sketch: blob})
+		}
 	})
 	s.batchAcks.each(func(key string, val any) {
 		doc.BatchAcks = append(doc.BatchAcks, snapshotAck{RequestID: key, Ack: val.([]byte)})
@@ -294,11 +301,16 @@ func (s *Server) journalMode() string {
 	return "read_write"
 }
 
-// PersistedProfileIDs returns the sorted IDs of every profile currently
-// held durably — the recovery-equality oracle the crash soak compares.
+// PersistedProfileIDs returns the sorted IDs of every cached profile
+// that carries its journaled sketch — the set a snapshot holds, and the
+// recovery-equality oracle the crash soak compares.
 func (s *Server) PersistedProfileIDs() []string {
 	ids := []string{}
-	s.persisted.each(func(key string, _ any) { ids = append(ids, key) })
+	s.profiles.each(func(key string, val any) {
+		if val.(*profileEntry).blob != nil {
+			ids = append(ids, key)
+		}
+	})
 	sort.Strings(ids)
 	return ids
 }

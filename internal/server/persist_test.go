@@ -10,6 +10,7 @@ import (
 	"path/filepath"
 	"reflect"
 	"strings"
+	"sync"
 	"testing"
 
 	"netmaster/internal/faults"
@@ -343,5 +344,109 @@ func TestStoreMetricsExposed(t *testing.T) {
 	}
 	if strings.Contains(string(get(t, ts2, "/metrics")), "server_store_") {
 		t.Error("store metrics leaked into a stateless server's /metrics")
+	}
+}
+
+// TestProfileJournalAndCacheStayAtomic: with a compaction after every
+// record, two devices updating concurrently race each other's
+// compactions. A profile's journal append and its cache insert share
+// one stateMu section, so no compaction covers the record without the
+// entry: after a clean restart every acked profile still schedules and
+// the durable set is unchanged.
+func TestProfileJournalAndCacheStayAtomic(t *testing.T) {
+	dir := t.TempDir()
+	durable := func(cfg *Config) {
+		cfg.StateDir = dir
+		cfg.CompactEvery = 1
+	}
+	s, _, c := testServer(t, durable)
+	ctx := context.Background()
+
+	const firstDays, updates = 3, 10
+	users := []string{"volunteer1", "volunteer2"}
+	acked := make([][]string, len(users))
+	errs := make([]error, len(users))
+	var wg sync.WaitGroup
+	for u, user := range users {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			up, err := c.ProfileUpdate(ctx, ProfileUpdateRequest{Gen: &GenSpec{User: user, Days: firstDays}})
+			for day := firstDays; err == nil; day++ {
+				acked[u] = append(acked[u], up.ProfileID)
+				if day == firstDays+updates {
+					return
+				}
+				up, err = c.ProfileUpdate(ctx, ProfileUpdateRequest{ProfileID: up.ProfileID,
+					Gen: &GenSpec{User: user, Days: day + 1}, Day: intp(day)})
+			}
+			errs[u] = err
+		}()
+	}
+	wg.Wait()
+	for u, err := range errs {
+		if err != nil {
+			t.Fatalf("%s: %v", users[u], err)
+		}
+	}
+	want := s.PersistedProfileIDs()
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	s, _, c = testServer(t, durable)
+	acts := []ActivityJSON{{ID: 1, TimeSecs: 20 * 86400, Bytes: 500_000, ActiveSecs: 5}}
+	for u, ids := range acked {
+		for _, id := range ids {
+			if _, err := c.Schedule(ctx, ScheduleRequest{ProfileID: id, Day: 20, Activities: acts}); err != nil {
+				t.Errorf("%s: acked profile %s after restart: %v", users[u], id, err)
+			}
+		}
+	}
+	if got := s.PersistedProfileIDs(); !reflect.DeepEqual(got, want) {
+		t.Errorf("durable profile IDs changed across restart:\n got %v\nwant %v", got, want)
+	}
+}
+
+// TestMineKeepsJournaledProfile: mining a trace whose sketch state an
+// acked update already journaled must not replace the journaled cache
+// entry with an unjournaled one, or the next compaction would drop the
+// acked profile from the snapshot.
+func TestMineKeepsJournaledProfile(t *testing.T) {
+	dir := t.TempDir()
+	durable := func(cfg *Config) {
+		cfg.StateDir = dir
+		cfg.CompactEvery = 1
+	}
+	s, _, c := testServer(t, durable)
+	ctx := context.Background()
+
+	up, err := c.ProfileUpdate(ctx, ProfileUpdateRequest{Gen: &GenSpec{User: "volunteer1", Days: 7}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	mined, err := c.Mine(ctx, MineRequest{Gen: &GenSpec{User: "volunteer1", Days: 7}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if mined.ProfileID != up.ProfileID {
+		t.Fatalf("mine ID %s != update ID %s", mined.ProfileID, up.ProfileID)
+	}
+	// Another acked update compacts the state after the mine.
+	if _, err := c.ProfileUpdate(ctx, ProfileUpdateRequest{Gen: &GenSpec{User: "user4", Days: 7}}); err != nil {
+		t.Fatal(err)
+	}
+	want := s.PersistedProfileIDs()
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	s, _, c = testServer(t, durable)
+	acts := []ActivityJSON{{ID: 1, TimeSecs: 7 * 86400, Bytes: 500_000, ActiveSecs: 5}}
+	if _, err := c.Schedule(ctx, ScheduleRequest{ProfileID: up.ProfileID, Day: 7, Activities: acts}); err != nil {
+		t.Errorf("acked profile after restart: %v", err)
+	}
+	if got := s.PersistedProfileIDs(); len(got) != 2 || !reflect.DeepEqual(got, want) {
+		t.Errorf("durable profile IDs across restart: got %v, want %v (2 IDs)", got, want)
 	}
 }

@@ -21,11 +21,15 @@ import (
 
 // profileEntry is one cached profile: the materialised profile plus the
 // sketch it came from, so later /v1/profile/update calls can fold new
-// days on top without re-mining history. Both are immutable once
+// days on top without re-mining history. All fields are immutable once
 // cached; updates clone the sketch.
 type profileEntry struct {
 	sketch  *habit.Sketch
 	profile *habit.Profile
+	// blob is the sketch encoding the journal holds for this profile,
+	// nil for a profile that was only mined and never journaled. The
+	// entries with a blob are the durable profile set a snapshot writes.
+	blob []byte
 }
 
 // cfgSuffix encodes the mining config for alias keys.
@@ -114,10 +118,32 @@ func (s *Server) aliasHit(alias string) (*profileEntry, string, bool) {
 	return v.(*profileEntry), id, true
 }
 
-// storeProfile caches an entry under its sketch-state ID.
+// cachedProfile is the one by-ID profile lookup: the cached entry,
+// counted as a hit, or a 404 unknown_profile.
+func (s *Server) cachedProfile(id string) (*profileEntry, error) {
+	v, ok := s.profiles.Get(id)
+	if !ok {
+		return nil, &apiError{Code: http.StatusNotFound, Kind: "unknown_profile",
+			Msg: fmt.Sprintf("profile %s not cached; re-mine or pass the trace", id)}
+	}
+	s.mProfHit.Inc()
+	return v.(*profileEntry), nil
+}
+
+// storeProfile caches an entry under its sketch-state ID. On a durable
+// server an unjournaled entry never replaces a journaled one of the same
+// state: stateMu orders the check and the Put against persistProfile
+// and compaction, so an acked profile stays in the durable set until
+// the cache evicts it.
 func (s *Server) storeProfile(id string, e *profileEntry) {
+	if e.blob == nil && s.store != nil {
+		s.stateMu.Lock()
+		defer s.stateMu.Unlock()
+		if v, ok := s.profiles.Get(id); ok && v.(*profileEntry).blob != nil {
+			e = v.(*profileEntry)
+		}
+	}
 	if s.profiles.Put(id, e) {
-		s.mCacheEvic.Inc()
 		s.mProfEvic.Inc()
 	}
 }
@@ -137,11 +163,9 @@ func (s *Server) resolveProfile(tr *trace.Trace, gen *GenSpec, cfg habit.Config)
 		return nil, "", false, &apiError{Code: http.StatusBadRequest, Kind: "bad_request", Msg: "need trace or gen"}
 	}
 	if e, id, ok := s.aliasHit(alias); ok {
-		s.mCacheHit.Inc()
 		s.mProfHit.Inc()
 		return e, id, true, nil
 	}
-	s.mCacheMiss.Inc()
 	s.mProfMiss.Inc()
 	t, _, err := resolveTrace(tr, gen)
 	if err != nil {
@@ -178,14 +202,11 @@ func (s *Server) handleProfileUpdate(w http.ResponseWriter, r *http.Request) err
 			return &apiError{Code: http.StatusBadRequest, Kind: "bad_request",
 				Msg: "config applies only to a fresh profile; the base profile fixes it"}
 		}
-		v, ok := s.profiles.Get(req.ProfileID)
-		if !ok {
-			return &apiError{Code: http.StatusNotFound, Kind: "unknown_profile",
-				Msg: fmt.Sprintf("profile %s not cached; re-mine or pass the trace", req.ProfileID)}
+		base, err := s.cachedProfile(req.ProfileID)
+		if err != nil {
+			return err
 		}
-		s.mCacheHit.Inc()
-		s.mProfHit.Inc()
-		sk = v.(*profileEntry).sketch.Clone()
+		sk = base.sketch.Clone()
 	} else {
 		var err error
 		sk, err = habit.NewSketch("", habitConfig(req.Config))
@@ -207,15 +228,6 @@ func (s *Server) handleProfileUpdate(w http.ResponseWriter, r *http.Request) err
 	}
 
 	id := sk.Hash()
-	// Durability before acknowledgement: the updated sketch state is
-	// journaled (and fsynced) before the cache mutation and the 200, so
-	// an acked profile ID survives any crash. Read-only mode answers a
-	// typed 503 here instead of acking an update it cannot keep.
-	if s.store != nil {
-		if err := s.persistProfile(id, sk); err != nil {
-			return err
-		}
-	}
 	// "hit" here means this exact fold history was already cached — the
 	// update was a no-op for the cache, if not for the fold work. The
 	// response comes from the entry in hand, never from a second lookup,
@@ -223,12 +235,20 @@ func (s *Server) handleProfileUpdate(w http.ResponseWriter, r *http.Request) err
 	v, hit := s.profiles.Get(id)
 	e, _ := v.(*profileEntry)
 	if !hit {
-		s.mCacheMiss.Inc()
 		s.mProfMiss.Inc()
 		e = &profileEntry{sketch: sk, profile: sk.Profile()}
 	} else {
-		s.mCacheHit.Inc()
 		s.mProfHit.Inc()
+	}
+	// Durability before acknowledgement: the updated sketch state is
+	// journaled (and fsynced) and cached with its blob before the 200,
+	// so an acked profile ID survives any crash. Read-only mode answers
+	// a typed 503 here instead of acking an update it cannot keep.
+	if s.store != nil {
+		var err error
+		if e, err = s.persistProfile(id, e); err != nil {
+			return err
+		}
 	}
 	// The child is the device's live head (a hit revives it if it was
 	// demoted) and the base it replaced is superseded: demoting the base

@@ -160,51 +160,75 @@ func TestGenAliasSkipsGeneration(t *testing.T) {
 // device folding more days than the cache holds must not evict the
 // current profiles of devices that sat idle meanwhile — each update
 // demotes the base it replaced, and demoted bases go first. A base
-// superseded a few updates ago still takes a retried update.
+// superseded a few updates ago still takes a retried update. The durable
+// row restarts the server before the checks: the snapshot is written
+// from the same cache, so the idle heads survive the restart too.
 func TestProfileCacheKeepsIdleHeads(t *testing.T) {
 	const cacheSize = 8
-	_, _, c := testServer(t, func(cfg *Config) { cfg.CacheSize = cacheSize })
-	ctx := context.Background()
+	for _, tc := range []struct {
+		name    string
+		durable bool
+	}{{"in-memory", false}, {"durable", true}} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			mutate := func(cfg *Config) {
+				cfg.CacheSize = cacheSize
+				if tc.durable {
+					cfg.StateDir = dir
+					cfg.CompactEvery = 4
+				}
+			}
+			s, _, c := testServer(t, mutate)
+			ctx := context.Background()
 
-	heads := map[string]string{}
-	for _, user := range []string{"volunteer1", "volunteer2", "user4"} {
-		up, err := c.ProfileUpdate(ctx, ProfileUpdateRequest{Gen: &GenSpec{User: user, Days: 7}})
-		if err != nil {
-			t.Fatal(err)
-		}
-		heads[user] = up.ProfileID
-	}
+			heads := map[string]string{}
+			for _, user := range []string{"volunteer1", "volunteer2", "user4"} {
+				up, err := c.ProfileUpdate(ctx, ProfileUpdateRequest{Gen: &GenSpec{User: user, Days: 7}})
+				if err != nil {
+					t.Fatal(err)
+				}
+				heads[user] = up.ProfileID
+			}
 
-	// volunteer1 folds one day at a time; ids[n] is its head after
-	// folding day 7+n.
-	var ids []string
-	for day := 7; day < 7+cacheSize+4; day++ {
-		up, err := c.ProfileUpdate(ctx, ProfileUpdateRequest{
-			ProfileID: heads["volunteer1"], Gen: &GenSpec{User: "volunteer1", Days: day + 1}, Day: intp(day)})
-		if err != nil {
-			t.Fatalf("day %d: %v", day, err)
-		}
-		heads["volunteer1"] = up.ProfileID
-		ids = append(ids, up.ProfileID)
-	}
+			// volunteer1 folds one day at a time; ids[n] is its head
+			// after folding day 7+n.
+			var ids []string
+			for day := 7; day < 7+cacheSize+4; day++ {
+				up, err := c.ProfileUpdate(ctx, ProfileUpdateRequest{
+					ProfileID: heads["volunteer1"], Gen: &GenSpec{User: "volunteer1", Days: day + 1}, Day: intp(day)})
+				if err != nil {
+					t.Fatalf("day %d: %v", day, err)
+				}
+				heads["volunteer1"] = up.ProfileID
+				ids = append(ids, up.ProfileID)
+			}
 
-	acts := []ActivityJSON{{ID: 1, TimeSecs: 20 * 86400, Bytes: 500_000, ActiveSecs: 5}}
-	for user, id := range heads {
-		if _, err := c.Schedule(ctx, ScheduleRequest{ProfileID: id, Day: 20, Activities: acts}); err != nil {
-			t.Errorf("%s head %s: %v", user, id, err)
-		}
-	}
+			if tc.durable {
+				if err := s.Close(); err != nil {
+					t.Fatal(err)
+				}
+				_, _, c = testServer(t, mutate)
+			}
 
-	// Retry the update that replaced ids[n-4], three updates back.
-	n := len(ids)
-	day := 7 + n - 3
-	up, err := c.ProfileUpdate(ctx, ProfileUpdateRequest{
-		ProfileID: ids[n-4], Gen: &GenSpec{User: "volunteer1", Days: day + 1}, Day: intp(day)})
-	if err != nil {
-		t.Fatalf("retried update: %v", err)
-	}
-	if up.ProfileID != ids[n-3] {
-		t.Errorf("retried update = %s, want %s", up.ProfileID, ids[n-3])
+			acts := []ActivityJSON{{ID: 1, TimeSecs: 20 * 86400, Bytes: 500_000, ActiveSecs: 5}}
+			for user, id := range heads {
+				if _, err := c.Schedule(ctx, ScheduleRequest{ProfileID: id, Day: 20, Activities: acts}); err != nil {
+					t.Errorf("%s head %s: %v", user, id, err)
+				}
+			}
+
+			// Retry the update that replaced ids[n-4], three updates back.
+			n := len(ids)
+			day := 7 + n - 3
+			up, err := c.ProfileUpdate(ctx, ProfileUpdateRequest{
+				ProfileID: ids[n-4], Gen: &GenSpec{User: "volunteer1", Days: day + 1}, Day: intp(day)})
+			if err != nil {
+				t.Fatalf("retried update: %v", err)
+			}
+			if up.ProfileID != ids[n-3] {
+				t.Errorf("retried update = %s, want %s", up.ProfileID, ids[n-3])
+			}
+		})
 	}
 }
 

@@ -162,7 +162,7 @@ type Server struct {
 	*edge
 	cfg Config
 
-	profiles  *lru // sketch-state profile ID → *profileEntry
+	profiles  *lru // sketch-state profile ID → *profileEntry (its entries with a blob are the durable set)
 	aliases   *lru // request-shape alias → profile ID
 	batchAcks *lru // batch request_id → ack bytes (idempotent replay)
 
@@ -172,17 +172,13 @@ type Server struct {
 	// Durable state (nil store without Config.StateDir). stateMu
 	// serialises journal-append + in-memory apply + compaction so a
 	// snapshot always covers exactly the records whose effects it holds.
-	stateMu   sync.Mutex
-	store     *store.Store
-	persisted *lru // profile ID → sketch binary, the durably held set
+	stateMu sync.Mutex
+	store   *store.Store
 
-	// server_* cache instrumentation (nil-tolerant handles).
-	mCacheHit  *metrics.Counter
-	mCacheMiss *metrics.Counter
-	mCacheEvic *metrics.Counter
-	mProfHit   *metrics.Counter
-	mProfMiss  *metrics.Counter
-	mProfEvic  *metrics.Counter
+	// server_profile_cache_* instrumentation (nil-tolerant handles).
+	mProfHit  *metrics.Counter
+	mProfMiss *metrics.Counter
+	mProfEvic *metrics.Counter
 
 	// server_store_* instrumentation, registered only with a StateDir.
 	mStoreAppends  *metrics.Counter
@@ -206,14 +202,10 @@ func New(cfg Config) (*Server, error) {
 		batchAcks: newLRU(cfg.CacheSize),
 		fleet:     make(map[string]*ingested),
 
-		mCacheHit:  cfg.Metrics.Counter("server_cache_hits_total"),
-		mCacheMiss: cfg.Metrics.Counter("server_cache_misses_total"),
-		mCacheEvic: cfg.Metrics.Counter("server_cache_evictions_total"),
-		mProfHit:   cfg.Metrics.Counter("server_profile_cache_hits_total"),
-		mProfMiss:  cfg.Metrics.Counter("server_profile_cache_misses_total"),
-		mProfEvic:  cfg.Metrics.Counter("server_profile_cache_evictions_total"),
+		mProfHit:  cfg.Metrics.Counter("server_profile_cache_hits_total"),
+		mProfMiss: cfg.Metrics.Counter("server_profile_cache_misses_total"),
+		mProfEvic: cfg.Metrics.Counter("server_profile_cache_evictions_total"),
 	}
-	s.persisted = newLRU(cfg.CacheSize)
 	if cfg.StateDir != "" {
 		s.mStoreAppends = cfg.Metrics.Counter("server_store_appends_total")
 		s.mStoreReplays = cfg.Metrics.Counter("server_store_replays_total")

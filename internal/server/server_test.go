@@ -28,6 +28,7 @@ func testServer(t *testing.T, mutate func(*Config)) (*Server, *httptest.Server, 
 	if err != nil {
 		t.Fatal(err)
 	}
+	t.Cleanup(func() { s.Close() })
 	ts := httptest.NewServer(s)
 	t.Cleanup(ts.Close)
 	return s, ts, NewClient(ts.URL, nil)
