@@ -117,6 +117,8 @@ func TestGoldenEndpoints(t *testing.T) {
 			   {"id": 3, "time_secs": 104400, "bytes": 1000000, "active_secs": 12}]}`},
 		{"simulate_volunteer2_dual.golden", "POST", "/v1/simulate",
 			`{"gen": {"user": "volunteer2", "days": 7, "wifi_coverage": 0.6}, "policy": "netmaster", "networks": {"wifi": {}}}`},
+		{"simulate_volunteer2_online_dual.golden", "POST", "/v1/simulate",
+			`{"gen": {"user": "volunteer2", "days": 7, "wifi_coverage": 0.6}, "policy": "online", "networks": {"wifi": {}}}`},
 		{"simulate_user1_offload.golden", "POST", "/v1/simulate",
 			`{"gen": {"user": "user1", "days": 7, "wifi_coverage": 0.8}, "policy": "wifi-offload", "networks": {"wifi": {"model": "wifi"}}}`},
 		{"healthz.golden", "GET", "/healthz", ""},
