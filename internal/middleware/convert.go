@@ -15,15 +15,15 @@ import (
 	"netmaster/internal/trace"
 )
 
-// EventsFromTrace converts a trace into the chronologically ordered event
-// stream the device would deliver: app-install announcements at time 0,
-// screen broadcasts, interactions, and per-activity network samples at
-// the state-appropriate timer period.
 // maxConvertDays bounds the day count either conversion accepts. Beyond
 // ten years the horizon arithmetic risks int64 overflow and the sample
 // expansion allocates absurdly; no real monitoring window comes close.
 const maxConvertDays = 3650
 
+// EventsFromTrace converts a trace into the chronologically ordered event
+// stream the device would deliver: app-install announcements at time 0,
+// screen broadcasts, interactions, and per-activity network samples at
+// the state-appropriate timer period.
 func EventsFromTrace(t *trace.Trace, cfg Config) ([]Event, error) {
 	if err := t.Validate(); err != nil {
 		return nil, err

@@ -17,6 +17,7 @@ package middleware
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"netmaster/internal/cfgerr"
@@ -260,6 +261,11 @@ type Service struct {
 	special      map[trace.AppID]bool
 	installed    map[trace.AppID]bool
 
+	// specialList caches special's keys, sorted: every duty wake walks
+	// it. Whatever changes special sets it to nil, and specialApps
+	// rebuilds it on the next read.
+	specialList []trace.AppID
+
 	duty      *dutycycle.Exponential
 	nextWake  simtime.Instant
 	days      int // days of history recorded so far
@@ -415,14 +421,32 @@ func (s *Service) RadioEnabled() bool { return s.radioEnabled }
 
 // SpecialApps returns the current allowlist, sorted.
 func (s *Service) SpecialApps() []trace.AppID {
-	out := make([]trace.AppID, 0, len(s.special))
-	for app, ok := range s.special {
-		if ok {
-			out = append(out, app)
+	return slices.Clone(s.specialApps())
+}
+
+// specialApps returns the cached sorted allowlist, rebuilding it after
+// a change to special. Callers must not modify it.
+func (s *Service) specialApps() []trace.AppID {
+	if s.specialList == nil {
+		out := make([]trace.AppID, 0, len(s.special))
+		for app, ok := range s.special {
+			if ok {
+				out = append(out, app)
+			}
 		}
+		sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+		s.specialList = out
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
+	return s.specialList
+}
+
+// markSpecial adds app to the allowlist, dropping the cached list only
+// when the app is new to it.
+func (s *Service) markSpecial(app trace.AppID) {
+	if !s.special[app] {
+		s.special[app] = true
+		s.specialList = nil
+	}
 }
 
 // HandleEvent is the event-trigger path of the monitoring component plus
@@ -494,7 +518,7 @@ func (s *Service) HandleEvent(e Event) ([]Command, error) {
 		s.appendRecord(recorddb.Record{Time: e.Time, Feature: recorddb.FeatureApp, App: e.App, Value: 1})
 		// A new app is treated as Special until history shows
 		// otherwise, avoiding false blocking.
-		s.special[e.App] = true
+		s.markSpecial(e.App)
 
 	default:
 		return nil, fmt.Errorf("middleware: unknown event kind %v", e.Kind)
@@ -530,8 +554,10 @@ func (s *Service) Tick(now simtime.Instant) ([]Command, error) {
 	if !s.screenOn && s.nextWake >= 0 && now >= s.nextWake {
 		// Wake the radio so Special Apps can use the network.
 		s.obs.dutyWakes.Inc()
+		apps := s.specialApps()
+		cmds = slices.Grow(cmds, len(apps)+2)
 		cmds = append(cmds, Command{Time: now, Kind: CmdRadioEnable})
-		for _, app := range s.SpecialApps() {
+		for _, app := range apps {
 			cmds = append(cmds, Command{Time: now, Kind: CmdTriggerSync, App: app})
 		}
 		cmds = append(cmds, Command{Time: now, Kind: CmdRadioDisable})
@@ -559,7 +585,7 @@ func (s *Service) noteSpecialCandidate(app trace.AppID, interacted bool) {
 		s.networkedApps[app] = true
 	}
 	if s.interactedApps[app] && s.networkedApps[app] {
-		s.special[app] = true
+		s.markSpecial(app)
 	}
 }
 
@@ -608,6 +634,7 @@ func (s *Service) mineIfDue(now simtime.Instant) []Command {
 		}
 	}
 	s.special = fresh
+	s.specialList = nil
 	s.obs.specialApps.Set(float64(len(fresh)))
 	return nil
 }

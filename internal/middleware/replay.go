@@ -786,7 +786,7 @@ func replay(t *trace.Trace, cfg ReplayConfig, cs *chaosState) (*ReplayResult, er
 	// screen-off stretches outside wake windows.
 	plan.BlockedWindows = screenOffWindows(t)
 	plan.SpecialAppWhitelist = map[trace.AppID]bool{}
-	for _, app := range svc.SpecialApps() {
+	for _, app := range svc.specialApps() {
 		plan.SpecialAppWhitelist[app] = true
 	}
 

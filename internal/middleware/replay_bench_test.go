@@ -48,3 +48,24 @@ func BenchmarkEventIngestion(b *testing.B) {
 	}
 	b.ReportMetric(float64(len(events)), "events")
 }
+
+// BenchmarkOnlineReplayWeekDual is BenchmarkOnlineReplayWeek with the
+// Wi-Fi NIC enabled: the volunteer-week at Wi-Fi coverage 0.4, the
+// shape of a dual-radio online simulate.
+func BenchmarkOnlineReplayWeekDual(b *testing.B) {
+	spec := synth.EvalCohort()[1]
+	spec.WiFiCoverage = 0.4
+	tr, err := synth.Generate(spec, 7)
+	if err != nil {
+		b.Fatal(err)
+	}
+	cfg := DefaultReplayConfig(power.Model3G())
+	cfg.WiFi = power.ModelWiFi()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := Replay(tr, cfg); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

@@ -22,8 +22,22 @@ func (k ActivityKind) MarshalJSON() ([]byte, error) {
 	return json.Marshal(k.String())
 }
 
-// UnmarshalJSON decodes a kind from its string name.
+// UnmarshalJSON decodes a kind from its string name. A plain quoted
+// ASCII name, the common case, is matched in place; anything else
+// (escapes, control or non-ASCII bytes, non-strings) goes through
+// json.Unmarshal, so results and error texts are those of the general
+// decoder.
 func (k *ActivityKind) UnmarshalJSON(data []byte) error {
+	if name, ok := plainJSONString(data); ok {
+		for i, n := range kindNames {
+			if string(name) == n {
+				*k = ActivityKind(i)
+				return nil
+			}
+		}
+		_, err := ParseActivityKind(string(name))
+		return err
+	}
 	var s string
 	if err := json.Unmarshal(data, &s); err != nil {
 		return err
@@ -34,6 +48,21 @@ func (k *ActivityKind) UnmarshalJSON(data []byte) error {
 	}
 	*k = parsed
 	return nil
+}
+
+// plainJSONString returns the contents of data when it is a quoted
+// string whose bytes need no decoding: printable ASCII without escapes.
+func plainJSONString(data []byte) ([]byte, bool) {
+	if len(data) < 2 || data[0] != '"' || data[len(data)-1] != '"' {
+		return nil, false
+	}
+	name := data[1 : len(data)-1]
+	for _, c := range name {
+		if c < 0x20 || c >= 0x80 || c == '"' || c == '\\' {
+			return nil, false
+		}
+	}
+	return name, true
 }
 
 // record is one line of the trace wire format.

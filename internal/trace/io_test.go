@@ -2,6 +2,7 @@ package trace
 
 import (
 	"bytes"
+	"encoding/json"
 	"math/rand"
 	"path/filepath"
 	"reflect"
@@ -133,5 +134,72 @@ func TestRoundtripProperty(t *testing.T) {
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 60}); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestActivityKindUnmarshalFastPath: the in-place match of plain names
+// gives the kinds and error texts of json.Unmarshal into a string
+// followed by ParseActivityKind, on every kind of input.
+func TestActivityKindUnmarshalFastPath(t *testing.T) {
+	ref := func(data []byte) (ActivityKind, error) {
+		var s string
+		if err := json.Unmarshal(data, &s); err != nil {
+			return 0, err
+		}
+		return ParseActivityKind(s)
+	}
+	cases := []struct {
+		in    string
+		plain bool // plainJSONString accepts it
+	}{
+		{`"sync"`, true},
+		{`"push"`, true},
+		{`"user"`, true},
+		{`"stream"`, true},
+		{`"bogus"`, true},
+		{`""`, true},
+		{`"Sync"`, true},
+		{`"sync` + "\x7f" + `"`, true},
+		{`"sy\u006ec"`, false},
+		{`"\u0073ync"`, false},
+		{`"sync\n"`, false},
+		{`"a\"b"`, false},
+		{`"a"b"`, false},
+		{`"\"`, false},
+		{`"\u00e9"`, false},
+		{`"é"`, false},
+		{"\"\xff\xfe\"", false},
+		{"\"sy\xc3nc\"", false},
+		{"\"sy\tnc\"", false},
+		{"\"\x00\"", false},
+		{`"`, false},
+		{``, false},
+		{` "sync"`, false},
+		{`"sync" `, false},
+		{`null`, false},
+		{`0`, false},
+		{`true`, false},
+		{`{}`, false},
+		{`["sync"]`, false},
+	}
+	for _, tc := range cases {
+		if _, ok := plainJSONString([]byte(tc.in)); ok != tc.plain {
+			t.Errorf("plainJSONString(%q) ok = %v, want %v", tc.in, ok, tc.plain)
+		}
+		want, wantErr := ref([]byte(tc.in))
+		k := ActivityKind(-1)
+		err := k.UnmarshalJSON([]byte(tc.in))
+		if (err == nil) != (wantErr == nil) || (err != nil && err.Error() != wantErr.Error()) {
+			t.Errorf("UnmarshalJSON(%q) error %v, want %v", tc.in, err, wantErr)
+			continue
+		}
+		if err == nil && k != want {
+			t.Errorf("UnmarshalJSON(%q) = %v, want %v", tc.in, k, want)
+		}
+	}
+	var k ActivityKind
+	plain := []byte(`"stream"`)
+	if allocs := testing.AllocsPerRun(100, func() { _ = k.UnmarshalJSON(plain) }); allocs != 0 {
+		t.Errorf("plain name decode allocates %v times, want 0", allocs)
 	}
 }
