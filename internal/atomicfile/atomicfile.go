@@ -71,7 +71,7 @@ func (osFS) Remove(name string) error             { return os.Remove(name) }
 func (osFS) Chmod(name string, mode fs.FileMode) error {
 	return os.Chmod(name, mode)
 }
-func (osFS) Stat(name string) (fs.FileInfo, error)       { return os.Stat(name) }
+func (osFS) Stat(name string) (fs.FileInfo, error)        { return os.Stat(name) }
 func (osFS) MkdirAll(path string, perm fs.FileMode) error { return os.MkdirAll(path, perm) }
 
 func (osFS) SyncDir(dir string) error {

@@ -2,6 +2,8 @@ package middleware
 
 import (
 	"encoding/binary"
+	"math/rand"
+	"reflect"
 	"testing"
 
 	"netmaster/internal/recorddb"
@@ -56,7 +58,7 @@ func FuzzEventsFromTrace(f *testing.F) {
 		}
 		nSessions := int(w.bounded(5))
 		for i := 0; i < nSessions; i++ {
-			start := simtime.Instant(w.bounded(int64(4*simtime.Day)))
+			start := simtime.Instant(w.bounded(int64(4 * simtime.Day)))
 			tr.Sessions = append(tr.Sessions, trace.ScreenSession{
 				Interval: simtime.Interval{Start: start, End: start + simtime.Instant(w.bounded(7200))},
 			})
@@ -65,8 +67,8 @@ func FuzzEventsFromTrace(f *testing.F) {
 		for i := 0; i < nActs; i++ {
 			tr.Activities = append(tr.Activities, trace.NetworkActivity{
 				App:       trace.AppID([]string{"app0", "app1"}[w.bounded(2)]),
-				Start:     simtime.Instant(w.next()%int64(4*simtime.Day)),
-				Duration:  simtime.Duration(w.next()%7200),
+				Start:     simtime.Instant(w.next() % int64(4*simtime.Day)),
+				Duration:  simtime.Duration(w.next() % 7200),
 				BytesDown: w.next() % (1 << 32),
 				BytesUp:   w.next() % (1 << 32),
 				Kind:      trace.KindSync,
@@ -75,7 +77,7 @@ func FuzzEventsFromTrace(f *testing.F) {
 		nIas := int(w.bounded(4))
 		for i := 0; i < nIas; i++ {
 			tr.Interactions = append(tr.Interactions, trace.Interaction{
-				Time: simtime.Instant(w.next()%int64(4*simtime.Day)),
+				Time: simtime.Instant(w.next() % int64(4*simtime.Day)),
 				App:  "app0",
 			})
 		}
@@ -136,7 +138,9 @@ func FuzzEventsFromTrace(f *testing.F) {
 // FuzzRecordsToTrace feeds the miner's trace rebuild arbitrary record
 // sets — duplicate timestamps, out-of-order appends, unmatched screen
 // transitions, negative values — and requires it to either return an
-// error or a trace that passes Validate. It must never panic.
+// error or a trace that passes Validate, with the same outcome, error
+// text and trace as recordsToTraceRef, the batch rebuild it replaced.
+// It must never panic.
 func FuzzRecordsToTrace(f *testing.F) {
 	f.Add([]byte{}, 1)
 	f.Add(make([]byte, 96), 2)
@@ -145,41 +149,83 @@ func FuzzRecordsToTrace(f *testing.F) {
 		seed = binary.LittleEndian.AppendUint64(seed, uint64(v))
 	}
 	f.Add(seed, 3)
-	f.Fuzz(func(t *testing.T, data []byte, days int) {
-		w := &fuzzWords{data: data}
-		db, err := recorddb.Open(recorddb.DefaultConfig())
-		if err != nil {
-			t.Fatal(err)
+	f.Fuzz(checkRecordsToTrace)
+}
+
+// checkRecordsToTrace is FuzzRecordsToTrace's property on one input.
+func checkRecordsToTrace(t *testing.T, data []byte, days int) {
+	w := &fuzzWords{data: data}
+	db, err := recorddb.Open(recorddb.DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := int(w.bounded(40))
+	for i := 0; i < n; i++ {
+		kind := w.bounded(3)
+		tm := simtime.Instant(w.next() % int64(10*simtime.Day)) // negative and duplicate times included
+		switch kind {
+		case 0:
+			db.Append(recorddb.Record{
+				Time: tm, Feature: recorddb.FeatureScreen, Value: w.bounded(2),
+			})
+		case 1:
+			db.Append(recorddb.Record{
+				Time: tm, Feature: recorddb.FeatureNetwork,
+				App: trace.AppID([]string{"app0", "app1"}[w.bounded(2)]), Value: w.next() % (1 << 40), Up: w.bounded(2) == 1,
+			})
+		default:
+			db.Append(recorddb.Record{
+				Time: tm, Feature: recorddb.FeatureInteraction, App: "app1",
+			})
 		}
-		n := int(w.bounded(40))
-		for i := 0; i < n; i++ {
-			kind := w.bounded(3)
-			tm := simtime.Instant(w.next()%int64(10*simtime.Day)) // negative and duplicate times included
+	}
+	installed := []trace.AppID{"app0", "app1"}
+	rebuilt, err := RecordsToTrace(db, days, installed)
+	want, wantErr := recordsToTraceRef(db, days, installed)
+	if (err == nil) != (wantErr == nil) || (err != nil && err.Error() != wantErr.Error()) {
+		t.Fatalf("RecordsToTrace error %v, reference %v", err, wantErr)
+	}
+	if err != nil {
+		return // rejection is fine; panics are not
+	}
+	if err := rebuilt.Validate(); err != nil {
+		t.Fatalf("RecordsToTrace returned an invalid trace: %v", err)
+	}
+	if rebuilt.Days != days {
+		t.Fatalf("rebuilt trace spans %d days, want %d", rebuilt.Days, days)
+	}
+	if !reflect.DeepEqual(rebuilt, want) {
+		t.Fatalf("rebuilt trace differs from the reference:\n got %+v\nwant %+v", rebuilt, want)
+	}
+}
+
+// TestRecordsToTraceMatchesReference runs the fuzz property over seeded
+// pseudo-random record sets whose times cluster within a few minutes of
+// each other and of midnights, so sample runs merge, split at the 30 s
+// gap, collide on duplicate times and straddle the horizon — cases the
+// uniform times of the fuzz seeds rarely reach.
+func TestRecordsToTraceMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	for i := 0; i < 2000; i++ {
+		var data []byte
+		word := func(v int64) { data = binary.LittleEndian.AppendUint64(data, uint64(v)) }
+		n := 1 + rng.Int63n(39)
+		word(n)
+		base := simtime.At(rng.Intn(3), 0, 0, 0) + simtime.Instant(rng.Int63n(120)) - 60
+		for j := int64(0); j < n; j++ {
+			kind := rng.Int63n(3)
+			word(kind)
+			word(int64(base) + rng.Int63n(20)*rng.Int63n(3)) // equal, close and out-of-order times
+			base += simtime.Instant(rng.Int63n(40))
 			switch kind {
 			case 0:
-				db.Append(recorddb.Record{
-					Time: tm, Feature: recorddb.FeatureScreen, Value: w.bounded(2),
-				})
+				word(rng.Int63n(2)) // screen on or off
 			case 1:
-				db.Append(recorddb.Record{
-					Time: tm, Feature: recorddb.FeatureNetwork,
-					App: "app0", Value: w.next() % (1 << 40), Up: w.bounded(2) == 1,
-				})
-			default:
-				db.Append(recorddb.Record{
-					Time: tm, Feature: recorddb.FeatureInteraction, App: "app1",
-				})
+				word(rng.Int63n(2))         // app
+				word(rng.Int63n(1000) - 10) // volume, now and then negative
+				word(rng.Int63n(2))         // uplink
 			}
 		}
-		rebuilt, err := RecordsToTrace(db, days, []trace.AppID{"app0", "app1"})
-		if err != nil {
-			return // rejection is fine; panics are not
-		}
-		if err := rebuilt.Validate(); err != nil {
-			t.Fatalf("RecordsToTrace returned an invalid trace: %v", err)
-		}
-		if rebuilt.Days != days {
-			t.Fatalf("rebuilt trace spans %d days, want %d", rebuilt.Days, days)
-		}
-	})
+		checkRecordsToTrace(t, data, 1+rng.Intn(3))
+	}
 }

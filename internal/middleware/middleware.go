@@ -259,7 +259,6 @@ type Service struct {
 	lastMined    int // day index of the last mining run, -1 before any
 	profile      *habit.Profile
 	special      map[trace.AppID]bool
-	installed    map[trace.AppID]bool
 
 	// specialList caches special's keys, sorted: every duty wake walks
 	// it. Whatever changes special sets it to nil, and specialApps
@@ -270,6 +269,13 @@ type Service struct {
 	nextWake  simtime.Instant
 	days      int // days of history recorded so far
 	lastEvent simtime.Instant
+
+	// hist rebuilds the usage history from the records the service
+	// appends, as they are appended; sketch holds every day the
+	// nightly mining has sealed (nil before the first successful
+	// fold), so each night folds only the days since.
+	hist   *historyBuilder
+	sketch *habit.Sketch
 
 	// installDay records when each app appeared; fresh installs stay
 	// Special until enough history accumulates to judge them.
@@ -301,10 +307,10 @@ func New(cfg Config) (*Service, error) {
 		obs:        newSvcObs(cfg.Metrics, cfg.Tracing),
 		lastMined:  -1,
 		special:    make(map[trace.AppID]bool),
-		installed:  make(map[trace.AppID]bool),
 		installDay: make(map[trace.AppID]int),
 		duty:       duty,
 		nextWake:   -1,
+		hist:       newHistoryBuilder(),
 	}, nil
 }
 
@@ -346,7 +352,9 @@ func (s *Service) normalMode() Mode {
 // appendRecord writes one monitoring record, absorbing injected DB
 // faults: a failed write is counted and the record lost, and a streak
 // of failures beyond dbFailThreshold puts the service into pass-through
-// mode (radio always on) until a write succeeds again.
+// mode (radio always on) until a write succeeds again. A written record
+// also feeds the history builder, so mining sees exactly the records
+// the DB holds.
 func (s *Service) appendRecord(r recorddb.Record) bool {
 	if s.inj.Decide(faults.OpDBWrite, r.Time) != faults.OK {
 		s.health.DBFaults++
@@ -363,20 +371,22 @@ func (s *Service) appendRecord(r recorddb.Record) bool {
 		s.setMode(r.Time, s.normalMode())
 	}
 	s.db.Append(r)
+	s.hist.add(r)
 	s.obs.records.Inc()
 	return true
 }
 
 // enforceMode applies the degraded-mode policy to the commands the
-// normal path produced. In pass-through (record DB unavailable) the
-// radio is left permanently on: disables are swallowed, an enable is
-// issued if the radio is down, and the duty cycle is parked.
-func (s *Service) enforceMode(now simtime.Instant, cmds []Command) []Command {
+// normal path appended to cmds from index from on. In pass-through
+// (record DB unavailable) the radio is left permanently on: disables
+// are swallowed, an enable is issued if the radio is down, and the duty
+// cycle is parked.
+func (s *Service) enforceMode(now simtime.Instant, cmds []Command, from int) []Command {
 	if s.health.Mode != ModePassThrough {
 		return cmds
 	}
-	out := cmds[:0]
-	for _, c := range cmds {
+	out := cmds[:from]
+	for _, c := range cmds[from:] {
 		if c.Kind == CmdRadioDisable {
 			s.radioEnabled = true
 			continue
@@ -409,7 +419,10 @@ func (s *Service) dutyWakeFailed(at simtime.Instant) {
 	s.nextWake = at.Add(s.duty.NextSleep())
 }
 
-// DB exposes the monitoring database (read-only use intended).
+// DB exposes the monitoring database. It is read-only to callers:
+// mining reads the records the service itself appended, through its
+// history builder, so a record written here would sit in the DB without
+// ever reaching a profile.
 func (s *Service) DB() *recorddb.DB { return s.db }
 
 // Profile returns the latest mined profile, or nil before the first
@@ -451,15 +464,22 @@ func (s *Service) markSpecial(app trace.AppID) {
 
 // HandleEvent is the event-trigger path of the monitoring component plus
 // the real-time reactions of the scheduling component. Events must be
-// delivered in non-decreasing time order.
+// delivered in non-decreasing time order. It returns a fresh slice.
 func (s *Service) HandleEvent(e Event) ([]Command, error) {
+	return s.handleEvent(nil, e)
+}
+
+// handleEvent is HandleEvent appending its commands to cmds. On error
+// cmds comes back unchanged.
+func (s *Service) handleEvent(cmds []Command, e Event) ([]Command, error) {
 	if e.Time < s.lastEvent {
-		return nil, fmt.Errorf("middleware: event at %v before %v", e.Time, s.lastEvent)
+		return cmds, fmt.Errorf("middleware: event at %v before %v", e.Time, s.lastEvent)
 	}
 	s.lastEvent = e.Time
 	s.obs.events.Inc()
 	s.obs.reg.Advance(e.Time)
-	cmds := s.mineIfDue(e.Time)
+	s.mineIfDue(e.Time)
+	from := len(cmds)
 
 	switch e.Kind {
 	case EventScreenOn:
@@ -511,7 +531,6 @@ func (s *Service) HandleEvent(e Event) ([]Command, error) {
 		}
 
 	case EventAppInstalled:
-		s.installed[e.App] = true
 		if _, ok := s.installDay[e.App]; !ok {
 			s.installDay[e.App] = e.Time.Day()
 		}
@@ -521,36 +540,48 @@ func (s *Service) HandleEvent(e Event) ([]Command, error) {
 		s.markSpecial(e.App)
 
 	default:
-		return nil, fmt.Errorf("middleware: unknown event kind %v", e.Kind)
+		return cmds, fmt.Errorf("middleware: unknown event kind %v", e.Kind)
 	}
-	return s.enforceMode(e.Time, cmds), nil
+	return s.enforceMode(e.Time, cmds, from), nil
 }
 
 // HandleLate delivers an event that may have arrived out of order (a
 // reordered broadcast). Instead of rejecting it like HandleEvent, the
 // service counts it as stale and processes it at its own clock — the
 // actual delivery time — so a late broadcast degrades bookkeeping
-// precision without stalling the event loop.
+// precision without stalling the event loop. It returns a fresh slice.
 func (s *Service) HandleLate(e Event) ([]Command, error) {
+	return s.handleLate(nil, e)
+}
+
+// handleLate is HandleLate appending its commands to cmds.
+func (s *Service) handleLate(cmds []Command, e Event) ([]Command, error) {
 	if e.Time < s.lastEvent {
 		s.health.StaleEvents++
 		s.obs.stale.Inc()
 		e.Time = s.lastEvent
 	}
-	return s.HandleEvent(e)
+	return s.handleEvent(cmds, e)
 }
 
 // Tick is the timer-trigger path: duty-cycle wake-ups while the screen is
 // off and the nightly mining run. Call it at least once per duty sleep
-// interval; now must be non-decreasing.
+// interval; now must be non-decreasing. It returns a fresh slice.
 func (s *Service) Tick(now simtime.Instant) ([]Command, error) {
+	return s.tick(nil, now)
+}
+
+// tick is Tick appending its commands to cmds. On error cmds comes back
+// unchanged.
+func (s *Service) tick(cmds []Command, now simtime.Instant) ([]Command, error) {
 	if now < s.lastEvent {
-		return nil, fmt.Errorf("middleware: tick at %v before %v", now, s.lastEvent)
+		return cmds, fmt.Errorf("middleware: tick at %v before %v", now, s.lastEvent)
 	}
 	s.lastEvent = now
 	s.obs.ticks.Inc()
 	s.obs.reg.Advance(now)
-	cmds := s.mineIfDue(now)
+	s.mineIfDue(now)
+	from := len(cmds)
 	if !s.screenOn && s.nextWake >= 0 && now >= s.nextWake {
 		// Wake the radio so Special Apps can use the network.
 		s.obs.dutyWakes.Inc()
@@ -563,7 +594,7 @@ func (s *Service) Tick(now simtime.Instant) ([]Command, error) {
 		cmds = append(cmds, Command{Time: now, Kind: CmdRadioDisable})
 		s.nextWake = now.Add(s.duty.NextSleep())
 	}
-	return s.enforceMode(now, cmds), nil
+	return s.enforceMode(now, cmds, from), nil
 }
 
 // noteSpecialCandidate updates the Special-App detection state: an app
@@ -592,18 +623,19 @@ func (s *Service) noteSpecialCandidate(app trace.AppID, interacted bool) {
 func (s *Service) isSpecial(app trace.AppID) bool { return s.special[app] }
 
 // mineIfDue runs the mining component at the first opportunity of each
-// new day (midnight boundary crossed since the last mining run).
-// Mining is best-effort: a failed run — malformed DB, injected miner
-// error, corrupt or empty profile caught by validation — leaves the
-// previous profile in place, and the service degrades to duty-only
-// operation when it has no profile at all.
-func (s *Service) mineIfDue(now simtime.Instant) []Command {
+// new day (midnight boundary crossed since the last mining run), over
+// the history of every day before it. Mining is best-effort: a failed
+// run — injected miner error, corrupt or empty profile caught by
+// validation, history the rebuild rejects — leaves the previous profile
+// in place, and the service degrades to duty-only operation when it has
+// no profile at all.
+func (s *Service) mineIfDue(now simtime.Instant) {
 	day := now.Day()
 	if day <= s.lastMined || day == 0 {
-		return nil
+		return
 	}
 	s.lastMined = day
-	profile, hist, err := s.mineOnce(now, day)
+	profile, err := s.mineOnce(now, day)
 	s.obs.mineResult(now, err)
 	if err != nil {
 		s.health.MineFaults++
@@ -611,7 +643,7 @@ func (s *Service) mineIfDue(now simtime.Instant) []Command {
 		if s.profile == nil && s.health.Mode == ModeNormal {
 			s.setMode(now, ModeDutyOnly)
 		}
-		return nil
+		return
 	}
 	s.mineFailed = false
 	s.profile = profile
@@ -621,11 +653,12 @@ func (s *Service) mineIfDue(now simtime.Instant) []Command {
 	}
 
 	// Re-derive the Special-App allowlist from the accumulated history:
-	// apps observed with both usage and network traffic stay, and a
-	// fresh install keeps its benefit-of-the-doubt status for
-	// newInstallGraceDays before the history verdict applies.
+	// apps observed with both usage and network traffic stay (the
+	// profile's SpecialApps, which is DetectSpecialApps of the mined
+	// history), and a fresh install keeps its benefit-of-the-doubt
+	// status for newInstallGraceDays before the history verdict applies.
 	fresh := make(map[trace.AppID]bool, len(s.special))
-	for _, app := range habit.DetectSpecialApps(hist) {
+	for _, app := range profile.SpecialApps {
 		fresh[app] = true
 	}
 	for app, d0 := range s.installDay {
@@ -636,41 +669,71 @@ func (s *Service) mineIfDue(now simtime.Instant) []Command {
 	s.special = fresh
 	s.specialList = nil
 	s.obs.specialApps.Set(float64(len(fresh)))
-	return nil
 }
 
-// mineOnce performs one mining pass under the fault injector. Whatever
-// the miner produces — including an injected corrupt or empty profile —
-// must pass profileUsable before the service adopts it.
-func (s *Service) mineOnce(now simtime.Instant, day int) (*habit.Profile, *trace.Trace, error) {
+// mineOnce performs one mining pass under the fault injector and
+// returns habit.Mine of RecordsToTrace(DB, day) without rebuilding the
+// whole history. The history builder seals every day no later record
+// can change, and those days fold once into the persistent sketch; the
+// days from the sealed frontier on fold into a clone, from a tail trace
+// that holds only them. Whatever the miner produces — including an
+// injected corrupt or empty profile — must pass profileUsable before
+// the service adopts it.
+func (s *Service) mineOnce(now simtime.Instant, day int) (*habit.Profile, error) {
 	var outcome = s.inj.Decide(faults.OpMine, now)
 	if outcome == faults.Fail {
-		return nil, nil, fmt.Errorf("middleware: mining run at %v failed", now)
+		return nil, fmt.Errorf("middleware: mining run at %v failed", now)
 	}
 	if outcome == faults.Empty {
 		// The miner "succeeded" with a vacuous profile; validation must
 		// refuse it like any other garbage.
 		empty := &habit.Profile{}
 		if err := profileUsable(empty); err != nil {
-			return nil, nil, err
+			return nil, err
 		}
-		return empty, nil, nil
+		return empty, nil
 	}
-	hist, err := RecordsToTrace(s.db, day, s.installedList())
-	if err != nil {
-		return nil, nil, err
+	if err := checkHistoryDays(day); err != nil {
+		return nil, err
 	}
-	profile, err := habit.Mine(hist, s.cfg.Habit)
-	if err != nil {
-		return nil, nil, err
+	frontier := s.hist.seal(day)
+	tail := s.hist.trace(day, nil)
+	if err := tail.Validate(); err != nil {
+		// Only an overflowed volume gets here. The whole history is
+		// invalid too; the batch rebuild words the error as it always
+		// has, naming the activity by its index in the whole history.
+		if _, err := RecordsToTrace(s.db, day, nil); err != nil {
+			return nil, err
+		}
+		return nil, fmt.Errorf("middleware: rebuilt trace invalid: %w", err)
 	}
+	if s.sketch == nil {
+		sk, err := habit.NewSketch("", s.cfg.Habit)
+		if err != nil {
+			return nil, err
+		}
+		s.sketch = sk
+	}
+	for s.sketch.Days() < frontier {
+		if err := s.sketch.FoldTraceDay(tail, s.sketch.Days()); err != nil {
+			return nil, err
+		}
+	}
+	s.hist.prune(frontier)
+	open := s.sketch.Clone()
+	for open.Days() < day {
+		if err := open.FoldTraceDay(tail, open.Days()); err != nil {
+			return nil, err
+		}
+	}
+	profile := open.Profile()
 	if outcome == faults.Corrupt {
 		corruptProfile(profile)
 	}
 	if err := profileUsable(profile); err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	return profile, hist, nil
+	return profile, nil
 }
 
 // profileUsable is the service's defence against corrupt or vacuous
@@ -726,12 +789,3 @@ func corruptProfile(p *habit.Profile) {
 // newInstallGraceDays is how long a newly installed app is presumed
 // Special before its own history decides.
 const newInstallGraceDays = 2
-
-func (s *Service) installedList() []trace.AppID {
-	out := make([]trace.AppID, 0, len(s.installed))
-	for app := range s.installed {
-		out = append(out, app)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
-}

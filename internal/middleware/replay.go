@@ -21,6 +21,7 @@ package middleware
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"netmaster/internal/cfgerr"
@@ -635,9 +636,10 @@ func replay(t *trace.Trace, cfg ReplayConfig, cs *chaosState) (*ReplayResult, er
 		pending = append(pending, retained...)
 	}
 
+	// handleCommands executes the commands one service call appended to
+	// the log.
 	handleCommands := func(cmds []Command, fromTick bool) {
 		for _, c := range cmds {
-			res.Commands = append(res.Commands, c)
 			obs.commands.Inc()
 			if cs == nil {
 				// Plain path: every command takes effect instantly.
@@ -704,11 +706,39 @@ func replay(t *trace.Trace, cfg ReplayConfig, cs *chaosState) (*ReplayResult, er
 		}
 	}
 
-	deliver := func(e Event) ([]Command, error) {
-		if cs != nil {
-			return svc.HandleLate(e)
+	// The service appends its commands straight to res.Commands, and
+	// handleCommands walks the tail each call added. Before each call
+	// the log gets room for a full duty wake; when it runs short, its
+	// capacity at least doubles.
+	reserve := func() int {
+		n := len(res.Commands)
+		if need := len(svc.special) + 2; cap(res.Commands)-n < need {
+			res.Commands = slices.Grow(res.Commands, max(n, need))
 		}
-		return svc.HandleEvent(e)
+		return n
+	}
+	tick := func(at simtime.Instant) error {
+		n := reserve()
+		var err error
+		if res.Commands, err = svc.tick(res.Commands, at); err != nil {
+			return err
+		}
+		handleCommands(res.Commands[n:], true)
+		return serveErr
+	}
+	deliver := func(e Event) error {
+		n := reserve()
+		var err error
+		if cs != nil {
+			res.Commands, err = svc.handleLate(res.Commands, e)
+		} else {
+			res.Commands, err = svc.handleEvent(res.Commands, e)
+		}
+		if err != nil {
+			return err
+		}
+		handleCommands(res.Commands[n:], false)
+		return serveErr
 	}
 
 	// Interleave events with duty ticks at the service's wake times.
@@ -716,13 +746,8 @@ func replay(t *trace.Trace, cfg ReplayConfig, cs *chaosState) (*ReplayResult, er
 		for svc.nextWake >= 0 && !svc.screenOn && svc.nextWake < e.Time {
 			at := svc.nextWake
 			flushOverdue(at)
-			cmds, err := svc.Tick(at)
-			if err != nil {
+			if err := tick(at); err != nil {
 				return nil, err
-			}
-			handleCommands(cmds, true)
-			if serveErr != nil {
-				return nil, serveErr
 			}
 		}
 		// Background arrivals up to this event become pending.
@@ -733,13 +758,8 @@ func replay(t *trace.Trace, cfg ReplayConfig, cs *chaosState) (*ReplayResult, er
 			nextBg++
 		}
 		flushOverdue(e.Time)
-		cmds, err := deliver(e)
-		if err != nil {
+		if err := deliver(e); err != nil {
 			return nil, err
-		}
-		handleCommands(cmds, false)
-		if serveErr != nil {
-			return nil, serveErr
 		}
 	}
 	// Drain remaining wakes and pending transfers to the horizon.
@@ -752,13 +772,8 @@ func replay(t *trace.Trace, cfg ReplayConfig, cs *chaosState) (*ReplayResult, er
 			nextBg++
 		}
 		flushOverdue(at)
-		cmds, err := svc.Tick(at)
-		if err != nil {
+		if err := tick(at); err != nil {
 			return nil, err
-		}
-		handleCommands(cmds, true)
-		if serveErr != nil {
-			return nil, serveErr
 		}
 	}
 	for nextBg < len(bgQueue) {

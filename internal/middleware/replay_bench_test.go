@@ -1,6 +1,7 @@
 package middleware
 
 import (
+	"fmt"
 	"testing"
 
 	"netmaster/internal/power"
@@ -67,5 +68,27 @@ func BenchmarkOnlineReplayWeekDual(b *testing.B) {
 		if _, err := Replay(tr, cfg); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// BenchmarkOnlineReplayDays replays EvalCohort[1] on 3G over one and four
+// weeks. Nightly mining folds each sealed day once, so ns/op grows
+// linearly in days: 28 days cost about 4× what 7 do, not 16×.
+func BenchmarkOnlineReplayDays(b *testing.B) {
+	for _, days := range []int{7, 28} {
+		b.Run(fmt.Sprintf("days=%d", days), func(b *testing.B) {
+			tr, err := synth.Generate(synth.EvalCohort()[1], days)
+			if err != nil {
+				b.Fatal(err)
+			}
+			cfg := DefaultReplayConfig(power.Model3G())
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := Replay(tr, cfg); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }

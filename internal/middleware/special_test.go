@@ -26,36 +26,41 @@ func sortedSpecial(s *Service) []trace.AppID {
 }
 
 // driveWeek delivers events to svc in replay's order, ticking at every
-// duty wake before the next event and to the horizon, and calls check
-// after every HandleEvent/HandleLate and Tick. It returns every command
+// duty wake before the next event and to the horizon. It calls before,
+// if set, with the time of every HandleEvent/HandleLate and Tick ahead
+// of the call, and check, if set, after it. It returns every command
 // issued.
-func driveWeek(t *testing.T, svc *Service, events []Event, horizon simtime.Instant, late bool, check func(cmds []Command, tick bool)) []Command {
+func driveWeek(t *testing.T, svc *Service, events []Event, horizon simtime.Instant, late bool, before func(at simtime.Instant), check func(cmds []Command, tick bool)) []Command {
 	t.Helper()
 	var log []Command
-	tick := func(before func() bool) {
-		for svc.nextWake >= 0 && !svc.screenOn && before() {
-			cmds, err := svc.Tick(svc.nextWake)
-			if err != nil {
-				t.Fatal(err)
-			}
-			check(cmds, true)
-			log = append(log, cmds...)
+	call := func(at simtime.Instant, tick bool, deliver func() ([]Command, error)) {
+		if before != nil {
+			before(at)
+		}
+		cmds, err := deliver()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if check != nil {
+			check(cmds, tick)
+		}
+		log = append(log, cmds...)
+	}
+	tick := func(until simtime.Instant) {
+		for svc.nextWake >= 0 && !svc.screenOn && svc.nextWake < until {
+			at := svc.nextWake
+			call(at, true, func() ([]Command, error) { return svc.Tick(at) })
 		}
 	}
 	for _, e := range events {
-		tick(func() bool { return svc.nextWake < e.Time })
+		tick(e.Time)
 		deliver := svc.HandleEvent
 		if late {
 			deliver = svc.HandleLate
 		}
-		cmds, err := deliver(e)
-		if err != nil {
-			t.Fatal(err)
-		}
-		check(cmds, false)
-		log = append(log, cmds...)
+		call(e.Time, false, func() ([]Command, error) { return deliver(e) })
 	}
-	tick(func() bool { return svc.nextWake < horizon })
+	tick(horizon)
 	return log
 }
 
@@ -126,7 +131,7 @@ func TestSpecialListCacheTracksAllowlist(t *testing.T) {
 					got[0] = scribble
 				}
 			}
-			log := driveWeek(t, svc, events, simtime.Instant(tr.Horizon()), tc.seed != 0, check)
+			log := driveWeek(t, svc, events, simtime.Instant(tr.Horizon()), tc.seed != 0, nil, check)
 			if wakes < 1000 || rebuilt == 0 {
 				t.Fatalf("%d wakes, %d cache drops: the week did not exercise the cache", wakes, rebuilt)
 			}
