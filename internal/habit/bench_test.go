@@ -1,6 +1,7 @@
 package habit
 
 import (
+	"fmt"
 	"reflect"
 	"testing"
 	"time"
@@ -80,4 +81,27 @@ func BenchmarkMineIncrementalVsFull(b *testing.B) {
 			b.ReportMetric(float64(fullDur)/float64(incDur), "speedup-x")
 		}
 	})
+}
+
+// BenchmarkMineDays is batch Mine over growing histories of one cohort
+// user. Each day's fold reads only that day's events, so the cost per
+// mined day should stay flat as the history grows (O(days), not
+// O(days × trace)).
+func BenchmarkMineDays(b *testing.B) {
+	tr, err := synth.Generate(synth.EvalCohort()[1], 112)
+	if err != nil {
+		b.Fatal(err)
+	}
+	cfg := DefaultConfig()
+	for _, days := range []int{7, 28, 112} {
+		prefix := tr.PrefixDays(days)
+		b.Run(fmt.Sprintf("days=%d", days), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := Mine(prefix, cfg); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
 }

@@ -135,8 +135,10 @@ func (s *Sketch) FoldTrace(t *trace.Trace) error {
 }
 
 // FoldTraceDay folds a single trace-local day. The caller guarantees t
-// is valid (FoldTrace validates; this entry point stays O(day) so a
-// day-by-day loop over one trace is O(trace), not O(trace²)).
+// is valid (FoldTrace validates). It reads only that day's events,
+// found by binary search in the time-sorted trace, so it costs O(day)
+// plus a logarithm of the trace, and a day-by-day loop over one trace
+// is O(trace), not O(trace²).
 func (s *Sketch) FoldTraceDay(t *trace.Trace, day int) error {
 	if day < 0 || day >= t.Days {
 		return fmt.Errorf("habit: day %d outside trace of %d days", day, t.Days)

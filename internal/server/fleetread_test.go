@@ -273,6 +273,54 @@ func TestFleetReadConcurrentReingest(t *testing.T) {
 	checkFleetReads(t, ts, cur, "3g", "lte")
 }
 
+// TestFleetFoldSyncsToEachSnapshot: the daemon's report fold answers
+// for exactly the snapshot each read hands it, even when reads arrive
+// out of order — an older snapshot lacking a device the fold already
+// holds, or carrying an older report of one — and equals the bulk
+// analyze.Fleet of that snapshot every time.
+func TestFleetFoldSyncsToEachSnapshot(t *testing.T) {
+	ingests := replayCohort(t, 1)
+	m := modelByName(t, "3g")
+	v1 := offlineReports(t, ingests, 1, m)
+	v2 := offlineReports(t, ingests, 1, m) // same analyses, new pointers
+	v2[0] = offlineReports(t, []IngestRequest{withArtifacts(ingests[0], truncated(ingests[1]))}, 1, m)[0]
+	snapshot := func(reports ...*analyze.DeviceReport) []DeviceDump {
+		dumps := make([]DeviceDump, len(reports))
+		for i, r := range reports {
+			dumps[i] = DeviceDump{DeviceID: r.Device, Report: r}
+		}
+		return dumps
+	}
+	var f fleetFold
+	for _, step := range []struct {
+		name  string
+		dumps []DeviceDump
+	}{
+		{"all devices", snapshot(&v1[0], &v1[1], &v1[2])},
+		{"older snapshot without the last device", snapshot(&v1[0], &v1[1])},
+		{"re-ingested first device", snapshot(&v2[0], &v1[1], &v1[2])},
+		{"older snapshot of the first device", snapshot(&v1[0], &v2[1])},
+		{"empty fleet", snapshot()},
+		{"all devices again", snapshot(&v2[0], &v2[1], &v2[2])},
+	} {
+		var reports []analyze.DeviceReport
+		for _, d := range step.dumps {
+			reports = append(reports, *d.Report)
+		}
+		got, err := encodeJSON(f.report(step.dumps))
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := encodeJSON(analyze.Fleet(reports))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Errorf("%s: fold differs from the bulk fold\nfold:\n%s\nbulk:\n%s", step.name, got, want)
+		}
+	}
+}
+
 // readTier is one role of the serve tier under a fleet-read test: the
 // server and client to read through, and the daemons that hold the
 // per-device memo.
@@ -378,10 +426,13 @@ func TestFleetReportSpliceEdgeCases(t *testing.T) {
 
 // TestSplicePerDeviceRefusesUnexpectedHead: when the encoded head does
 // not end in the null per_device the splice replaces, or entries and
-// reports disagree in number, the helper returns an error rather than a
-// malformed document.
+// reports disagree in number, the helper returns an error before it
+// writes anything — no status, no header, no byte of a document.
 func TestSplicePerDeviceRefusesUnexpectedHead(t *testing.T) {
 	entries := [][]byte{[]byte("{}"), []byte("{}")}
+	untouched := func(rec *httptest.ResponseRecorder) bool {
+		return rec.Body.Len() == 0 && len(rec.Header()) == 0
+	}
 	for _, head := range []string{
 		"",
 		"{}\n",
@@ -390,23 +441,26 @@ func TestSplicePerDeviceRefusesUnexpectedHead(t *testing.T) {
 		"{\n  \"analysis\": {\n    \"per_device\": null\n  }\n}",
 		"{\n  \"analysis\": {\n    \"per_device\": null\n  },\n  \"more\": 1\n}\n",
 	} {
-		if out, err := splicePerDevice([]byte(head), entries); err == nil || out != nil {
-			t.Errorf("head %q: got %q, %v; want no bytes and an error", head, out, err)
+		rec := httptest.NewRecorder()
+		if err := splicePerDevice(rec, []byte(head), entries); err == nil || !untouched(rec) {
+			t.Errorf("head %q: got %v, headers %v, body %q; want an error and nothing written", head, err, rec.Header(), rec.Body)
 		}
 	}
 
 	head := "{\n  \"analysis\": {\n    \"per_device\": null\n  }\n}\n"
-	out, err := splicePerDevice([]byte(head), entries)
-	if err != nil {
+	rec := httptest.NewRecorder()
+	if err := splicePerDevice(rec, []byte(head), entries); err != nil {
 		t.Fatal(err)
 	}
 	want := "{\n  \"analysis\": {\n    \"per_device\": [\n      {},\n      {}\n    ]\n  }\n}\n"
-	if string(out) != want || !json.Valid(out) {
-		t.Errorf("spliced document:\n%s\nwant:\n%s", out, want)
+	if out := rec.Body.Bytes(); string(out) != want || !json.Valid(out) || rec.Code != http.StatusOK ||
+		rec.Header().Get("Content-Type") != "application/json" {
+		t.Errorf("spliced document (status %d, headers %v):\n%s\nwant:\n%s", rec.Code, rec.Header(), out, want)
 	}
 
-	if out, err := encodeFleetDoc(FleetReportResponse{}, entries); err == nil {
-		t.Errorf("2 entries for 0 per_device reports: got %q, want an error", out)
+	rec = httptest.NewRecorder()
+	if err := encodeFleetDoc(rec, FleetReportResponse{}, entries); err == nil || !untouched(rec) {
+		t.Errorf("2 entries for 0 per_device reports: got %v, body %q; want an error and nothing written", err, rec.Body)
 	}
 }
 
@@ -532,10 +586,24 @@ func TestMalformedSnapshotRefusedAtIngest(t *testing.T) {
 	}
 }
 
+// discardResponse is an http.ResponseWriter that counts and drops the
+// body, so the encode rung times the encoder, not a buffer.
+type discardResponse struct {
+	h http.Header
+	n int64
+}
+
+func (d *discardResponse) Header() http.Header { return d.h }
+func (d *discardResponse) WriteHeader(int)     {}
+func (d *discardResponse) Write(p []byte) (int, error) {
+	d.n += int64(len(p))
+	return len(p), nil
+}
+
 // BenchmarkFleetReportEncode is the encode rung of a fleet read: one
-// 500-device report document written whole by encodeJSON (old, what
-// the handler did before per_device entries were memoised) and by
-// encodeFleetDoc splicing already-encoded entries into the encoded
+// 500-device report document written whole by writeJSON (old, what the
+// handler did before per_device entries were memoised) and by
+// encodeFleetDoc streaming already-encoded entries after the encoded
 // head (new, a read whose memo is warm). The two must agree byte for
 // byte before anything is timed.
 func BenchmarkFleetReportEncode(b *testing.B) {
@@ -558,27 +626,31 @@ func BenchmarkFleetReportEncode(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	spliced, err := encodeFleetDoc(doc, entries)
-	if err != nil {
+	rec := httptest.NewRecorder()
+	if err := encodeFleetDoc(rec, doc, entries); err != nil {
 		b.Fatal(err)
 	}
-	if !bytes.Equal(whole, spliced) {
+	if !bytes.Equal(whole, rec.Body.Bytes()) {
 		b.Fatal("spliced fleet document differs from the whole-document encode")
 	}
 
 	for _, bc := range []struct {
 		name   string
-		encode func() ([]byte, error)
+		encode func(w http.ResponseWriter) error
 	}{
-		{"old-whole-document", func() ([]byte, error) { return encodeJSON(doc) }},
-		{"new-spliced-entries", func() ([]byte, error) { return encodeFleetDoc(doc, entries) }},
+		{"old-whole-document", func(w http.ResponseWriter) error { return writeJSON(w, http.StatusOK, doc) }},
+		{"new-spliced-entries", func(w http.ResponseWriter) error { return encodeFleetDoc(w, doc, entries) }},
 	} {
 		b.Run(bc.name, func(b *testing.B) {
 			b.ReportAllocs()
 			b.SetBytes(int64(len(whole)))
 			for i := 0; i < b.N; i++ {
-				if _, err := bc.encode(); err != nil {
+				w := &discardResponse{h: http.Header{}}
+				if err := bc.encode(w); err != nil {
 					b.Fatal(err)
+				}
+				if w.n != int64(len(whole)) {
+					b.Fatalf("wrote %d bytes, want %d", w.n, len(whole))
 				}
 			}
 		})
@@ -586,14 +658,21 @@ func BenchmarkFleetReportEncode(b *testing.B) {
 }
 
 // BenchmarkFleetReport is the in-process fleet-read rung: GET
-// /v1/fleet/report over 100 devices, after re-ingesting either every
-// device (changed=all: every report is analysed afresh, the cost of a
-// read before per-device memoisation) or 4 of them (changed=4%: the
-// steady state under a trickle of writes). Re-ingests run off the
-// clock; the first read must equal the offline fold byte for byte.
+// /v1/fleet/report over 100 devices (and, under devices=500, over
+// fleet-read's 500), after re-ingesting either every device
+// (changed=all: every report is analysed afresh, the cost of a read
+// before per-device memoisation) or 4% of them (changed=4%: the steady
+// state under a trickle of writes). Re-ingests run off the clock; the
+// first read must equal the offline fold byte for byte.
 func BenchmarkFleetReport(b *testing.B) {
-	const devices = 100
 	base := replayCohort(b, 1)
+	benchFleetReads(b, base, 100)
+	b.Run("devices=500", func(b *testing.B) { benchFleetReads(b, base, 500) })
+}
+
+// benchFleetReads runs BenchmarkFleetReport's changed=all and
+// changed=4% cases over a fleet of the given size cloned from base.
+func benchFleetReads(b *testing.B, base []IngestRequest, devices int) {
 	fleet := make([]IngestRequest, devices)
 	for i := range fleet {
 		fleet[i] = base[i%len(base)]

@@ -479,21 +479,23 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) error {
 
 // handleFleetReport serves the live fleet report: the exact document
 // netmaster-analyze produces offline, so the two are byte-comparable.
-// Each device's per_device entry comes pre-encoded from its memo.
+// Each device's per_device entry comes pre-encoded from its memo, and
+// the analysis roll-up from the config's fleetFold.
 func (s *Server) handleFleetReport(w http.ResponseWriter, r *http.Request) error {
-	dumps, entries, err := s.deviceDumps(r.URL.Query().Get("model"), true)
+	acfg, err := analysisConfig(r.URL.Query().Get("model"))
 	if err != nil {
 		return err
 	}
-	doc, err := fleetDocFromDumps(dumps)
+	dumps, entries, err := s.deviceDumps(acfg, true)
 	if err != nil {
 		return err
 	}
-	body, err := encodeFleetDoc(doc, entries)
+	m, err := fleetMetrics(dumps)
 	if err != nil {
 		return err
 	}
-	return writeRaw(w, http.StatusOK, body)
+	doc := FleetReportResponse{Metrics: m, Analysis: s.fleetFold(acfg).report(dumps)}
+	return encodeFleetDoc(w, doc, entries)
 }
 
 // wantReports parses /v1/fleet/devices' ?reports= flag: empty or 1
@@ -518,7 +520,11 @@ func (s *Server) handleFleetDevices(w http.ResponseWriter, r *http.Request) erro
 	if err != nil {
 		return err
 	}
-	dumps, _, err := s.deviceDumps(r.URL.Query().Get("model"), withReports)
+	acfg, err := analysisConfig(r.URL.Query().Get("model"))
+	if err != nil {
+		return err
+	}
+	dumps, _, err := s.deviceDumps(acfg, withReports)
 	if err != nil {
 		return err
 	}

@@ -368,11 +368,7 @@ func (rt *Router) handleFleetReport(w http.ResponseWriter, r *http.Request) erro
 	if err != nil {
 		return err
 	}
-	body, err := encodeFleetDoc(doc, entries)
-	if err != nil {
-		return err
-	}
-	return writeRaw(w, http.StatusOK, body)
+	return encodeFleetDoc(w, doc, entries)
 }
 
 func (rt *Router) handleFleetDevices(w http.ResponseWriter, r *http.Request) error {

@@ -18,6 +18,7 @@
 package server
 
 import (
+	"bufio"
 	"bytes"
 	"context"
 	"encoding/json"
@@ -169,6 +170,10 @@ type Server struct {
 	fleetMu sync.Mutex
 	fleet   map[string]*ingested
 
+	// The report read's analysis fold per analysis config (at most two).
+	foldsMu sync.Mutex
+	folds   map[analyze.Config]*fleetFold
+
 	// Durable state (nil store without Config.StateDir). stateMu
 	// serialises journal-append + in-memory apply + compaction so a
 	// snapshot always covers exactly the records whose effects it holds.
@@ -201,6 +206,7 @@ func New(cfg Config) (*Server, error) {
 		aliases:   newLRU(cfg.CacheSize),
 		batchAcks: newLRU(cfg.CacheSize),
 		fleet:     make(map[string]*ingested),
+		folds:     make(map[analyze.Config]*fleetFold),
 
 		mProfHit:  cfg.Metrics.Counter("server_profile_cache_hits_total"),
 		mProfMiss: cfg.Metrics.Counter("server_profile_cache_misses_total"),
@@ -323,6 +329,19 @@ func (s *Server) eachDevice(visit func(id string, d *ingested)) {
 	}
 }
 
+// analysisConfig is the analysis a fleet read of the named power model
+// runs: the default thresholds, pricing active seconds at the model's
+// active draw.
+func analysisConfig(model string) (analyze.Config, error) {
+	m, err := powerModel(model)
+	if err != nil {
+		return analyze.Config{}, err
+	}
+	acfg := analyze.DefaultConfig()
+	acfg.ActivePowerMW = m.ActivePowerMW
+	return acfg, nil
+}
+
 // deviceDumps snapshots the ingested fleet in sorted-ID order: each
 // device's raw metrics plus (optionally) its analyzed report. This is
 // the shard's contribution to a routed fleet report — the router fetches
@@ -335,14 +354,7 @@ func (s *Server) eachDevice(visit func(id string, d *ingested)) {
 // encodeEntry), outside the lock. A fresh analysis is published to the
 // memo only if the device was not re-ingested meanwhile, so a newer
 // ingest always wins.
-func (s *Server) deviceDumps(model string, withReports bool) (dumps []DeviceDump, entries [][]byte, err error) {
-	acfg := analyze.DefaultConfig()
-	m, err := powerModel(model)
-	if err != nil {
-		return nil, nil, err
-	}
-	acfg.ActivePowerMW = m.ActivePowerMW
-
+func (s *Server) deviceDumps(acfg analyze.Config, withReports bool) (dumps []DeviceDump, entries [][]byte, err error) {
 	type miss struct {
 		i int // index into dumps
 		d *ingested
@@ -401,14 +413,16 @@ func (s *Server) deviceDumps(model string, withReports bool) (dumps []DeviceDump
 // The same fold serves one node's memory and a router's N shards: the
 // telemetry export and analyze.Fleet both sort their inputs, so the
 // result is independent of how devices were grouped — which is what
-// makes a routed report byte-identical to a single-node run.
+// makes a routed report byte-identical to a single-node run. A daemon's
+// own report read keeps its analysis in a fleetFold instead, which
+// gives the same bytes.
 func fleetDocFromDumps(dumps []DeviceDump) (FleetReportResponse, error) {
-	var mdevs []telemetry.Device
+	m, err := fleetMetrics(dumps)
+	if err != nil {
+		return FleetReportResponse{}, err
+	}
 	reports := make([]analyze.DeviceReport, 0, len(dumps))
 	for _, d := range dumps {
-		if d.Metrics != nil {
-			mdevs = append(mdevs, telemetry.Device{ID: d.DeviceID, Snapshot: *d.Metrics})
-		}
 		if d.Report != nil {
 			rep := *d.Report
 			if rep.DeferSecs() == nil {
@@ -419,11 +433,68 @@ func fleetDocFromDumps(dumps []DeviceDump) (FleetReportResponse, error) {
 			reports = append(reports, rep)
 		}
 	}
+	return FleetReportResponse{Metrics: m, Analysis: analyze.Fleet(reports)}, nil
+}
+
+// fleetMetrics is the metrics half of the fleet document: the dumps'
+// snapshots folded by the telemetry exporter.
+func fleetMetrics(dumps []DeviceDump) (telemetry.FleetSnapshot, error) {
+	var mdevs []telemetry.Device
+	for _, d := range dumps {
+		if d.Metrics != nil {
+			mdevs = append(mdevs, telemetry.Device{ID: d.DeviceID, Snapshot: *d.Metrics})
+		}
+	}
 	agg, err := telemetry.Aggregate(mdevs...)
 	if err != nil {
-		return FleetReportResponse{}, err
+		return telemetry.FleetSnapshot{}, err
 	}
-	return FleetReportResponse{Metrics: agg.Export(), Analysis: analyze.Fleet(reports)}, nil
+	return agg.Export(), nil
+}
+
+// fleetFold is a daemon's analysis half of the fleet report for one
+// analysis config, kept across reads: a read merges in only the devices
+// whose memoised report changed since the fold last saw them.
+type fleetFold struct {
+	mu   sync.Mutex
+	fold analyze.Fold
+}
+
+// report syncs the fold to exactly the reports in dumps (each a
+// memoised analysis, compared by pointer) and rolls it up.
+func (f *fleetFold) report(dumps []DeviceDump) analyze.FleetReport {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	for _, d := range dumps {
+		f.fold.Set(d.Report)
+	}
+	// Devices never leave the fleet, but two concurrent reads can sync
+	// out of order: a snapshot taken before a new device's ingest finds
+	// the fold already holding it from the later one.
+	if f.fold.Len() > len(dumps) {
+		in := make(map[string]bool, len(dumps))
+		for _, d := range dumps {
+			in[d.DeviceID] = true
+		}
+		for _, id := range f.fold.IDs() {
+			if !in[id] {
+				f.fold.Remove(id)
+			}
+		}
+	}
+	return f.fold.Report()
+}
+
+// fleetFold returns the report fold for acfg, creating it on first use.
+func (s *Server) fleetFold(acfg analyze.Config) *fleetFold {
+	s.foldsMu.Lock()
+	defer s.foldsMu.Unlock()
+	f := s.folds[acfg]
+	if f == nil {
+		f = &fleetFold{}
+		s.folds[acfg] = f
+	}
+	return f
 }
 
 // entryIndent is the line prefix of a per_device entry inside the
@@ -451,53 +522,66 @@ func encodeEntry(rep *analyze.DeviceReport) ([]byte, error) {
 	return bytes.Clone(b), nil
 }
 
-// encodeFleetDoc renders doc byte for byte as encodeJSON would, given
-// each doc.Analysis.PerDevice report already encoded by encodeEntry, in
-// the same order. Only the small head of the document is encoded here;
-// the entries are spliced in as they are, which skips the re-indent an
-// encoder applies to json.RawMessage or Marshaler output.
-func encodeFleetDoc(doc FleetReportResponse, entries [][]byte) ([]byte, error) {
+// encodeFleetDoc writes doc to w as a 200, byte for byte as writeJSON
+// would, given each doc.Analysis.PerDevice report already encoded by
+// encodeEntry, in the same order. Only the small head of the document
+// is encoded here; the entries are streamed after it as they are, which
+// skips the re-indent an encoder applies to json.RawMessage or
+// Marshaler output, and never holds the whole document in memory.
+func encodeFleetDoc(w http.ResponseWriter, doc FleetReportResponse, entries [][]byte) error {
 	if len(entries) != len(doc.Analysis.PerDevice) {
-		return nil, fmt.Errorf("fleet document: %d encoded entries for %d per_device reports",
+		return fmt.Errorf("fleet document: %d encoded entries for %d per_device reports",
 			len(entries), len(doc.Analysis.PerDevice))
 	}
 	if len(entries) == 0 {
-		return encodeJSON(doc)
+		body, err := encodeJSON(doc)
+		if err != nil {
+			return err
+		}
+		return writeRaw(w, http.StatusOK, body)
 	}
 	doc.Analysis.PerDevice = nil
 	head, err := encodeJSON(doc)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	return splicePerDevice(head, entries)
+	return splicePerDevice(w, head, entries)
 }
 
-// splicePerDevice replaces the per_device null that ends head with the
-// array of entries. A head that does not end in fleetDocTail is an
-// error, never a malformed document.
-func splicePerDevice(head []byte, entries [][]byte) ([]byte, error) {
-	if !bytes.HasSuffix(head, []byte(fleetDocTail)) {
-		return nil, errors.New("fleet document: encoded head does not end in a null per_device")
+// spliceBuffer caps the buffer that batches the spliced document's
+// small writes into a few large ones on the connection.
+const spliceBuffer = 256 << 10
+
+// splicePerDevice writes head as a 200 with its ending per_device null
+// replaced by the array of entries. A head that does not end in
+// fleetDocTail is an error returned before anything is written, so the
+// caller answers 500 rather than a malformed or truncated 200.
+func splicePerDevice(w http.ResponseWriter, head []byte, entries [][]byte) error {
+	head, ok := bytes.CutSuffix(head, []byte(fleetDocTail))
+	if !ok {
+		return errors.New("fleet document: encoded head does not end in a null per_device")
 	}
 	const (
 		open    = "\"per_device\": ["
 		element = "\n" + entryIndent // each entry's own line
 		end     = "\n    ]\n  }\n}\n"
 	)
-	head = head[:len(head)-len(fleetDocTail)]
 	size := len(head) + len(open) + len(end)
 	for _, e := range entries {
 		size += len(",") + len(element) + len(e)
 	}
-	out := make([]byte, 0, size)
-	out = append(out, head...)
-	out = append(out, open...)
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(http.StatusOK)
+	bw := bufio.NewWriterSize(w, min(size, spliceBuffer))
+	bw.Write(head)
+	bw.WriteString(open)
 	for i, e := range entries {
 		if i > 0 {
-			out = append(out, ',')
+			bw.WriteByte(',')
 		}
-		out = append(out, element...)
-		out = append(out, e...)
+		bw.WriteString(element)
+		bw.Write(e)
 	}
-	return append(out, end...), nil
+	bw.WriteString(end)
+	return bw.Flush()
 }

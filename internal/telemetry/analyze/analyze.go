@@ -16,11 +16,11 @@ package analyze
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"netmaster/internal/metrics"
 	"netmaster/internal/simtime"
-	"netmaster/internal/stats"
 	"netmaster/internal/tracing"
 )
 
@@ -277,7 +277,9 @@ func Device(in DeviceInput, cfg Config) DeviceReport {
 		})
 	}
 
-	r.Deferrals = deferStats(r.deferSecs)
+	sorted := slices.Clone(r.deferSecs)
+	sortWaits(sorted)
+	r.Deferrals = deferStats(sorted)
 
 	// Invariant audits need the full story; a wrapped ring would turn
 	// missing context into false violations.
@@ -490,25 +492,6 @@ func (r *DeviceReport) crossCheckMetrics(cfg Config, in DeviceInput) {
 	}
 }
 
-func deferStats(vals []float64) DeferStats {
-	st := DeferStats{Count: int64(len(vals))}
-	if len(vals) == 0 {
-		return st
-	}
-	sorted := append([]float64(nil), vals...)
-	sort.Float64s(sorted)
-	var sum float64
-	for _, v := range sorted {
-		sum += v
-	}
-	st.MeanSecs = sum / float64(len(sorted))
-	st.P50Secs = stats.QuantileSorted(sorted, 0.50)
-	st.P90Secs = stats.QuantileSorted(sorted, 0.90)
-	st.P99Secs = stats.QuantileSorted(sorted, 0.99)
-	st.MaxSecs = sorted[len(sorted)-1]
-	return st
-}
-
 // FleetReport rolls device analyses up to the cohort: integer totals
 // sum exactly, the deferral distribution is recomputed from the exact
 // pooled waits, and findings concatenate in device order.
@@ -535,66 +518,4 @@ func (f FleetReport) Errors() int {
 		}
 	}
 	return n
-}
-
-// Fleet combines device reports. Input order does not matter: devices
-// are folded in sorted-ID order. Fleet never mutates its inputs, so one
-// report may be shared by any number of concurrent folds.
-func Fleet(reports []DeviceReport) FleetReport {
-	sorted := append([]DeviceReport(nil), reports...)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i].Device < sorted[j].Device })
-	out := FleetReport{
-		Devices:   len(sorted),
-		Slots:     make([]SlotScore, simtime.HoursPerDay),
-		PerDevice: sorted,
-	}
-	for h := range out.Slots {
-		out.Slots[h].Hour = h
-	}
-	apps := map[string]*AppEnergy{}
-	var pooled []float64
-	for _, r := range sorted {
-		out.DeviceIDs = append(out.DeviceIDs, r.Device)
-		out.Events += r.Events
-		if r.Truncated {
-			out.Truncated++
-		}
-		for _, a := range r.Apps {
-			dst := apps[a.App]
-			if dst == nil {
-				dst = &AppEnergy{App: a.App}
-				apps[a.App] = dst
-			}
-			dst.Transfers += a.Transfers
-			dst.Bytes += a.Bytes
-			dst.ActiveSecs += a.ActiveSecs
-			dst.EnergyJ += a.EnergyJ
-		}
-		for h, s := range r.Slots {
-			out.Slots[h].Wakes += s.Wakes
-			out.Slots[h].ProductiveWakes += s.ProductiveWakes
-			out.Slots[h].Served += s.Served
-			out.Slots[h].DeadlineFlushes += s.DeadlineFlushes
-			out.Slots[h].Foreground += s.Foreground
-		}
-		out.Thrash.RadioSessions += r.Thrash.RadioSessions
-		out.Thrash.ThrashPairs += r.Thrash.ThrashPairs
-		out.Thrash.UnproductiveWakes += r.Thrash.UnproductiveWakes
-		out.Findings = append(out.Findings, r.Findings...)
-		pooled = append(pooled, r.deferSecs...)
-	}
-	for _, a := range apps {
-		out.Apps = append(out.Apps, *a)
-	}
-	sort.Slice(out.Apps, func(i, j int) bool {
-		if out.Apps[i].ActiveSecs != out.Apps[j].ActiveSecs {
-			return out.Apps[i].ActiveSecs > out.Apps[j].ActiveSecs
-		}
-		if out.Apps[i].Bytes != out.Apps[j].Bytes {
-			return out.Apps[i].Bytes > out.Apps[j].Bytes
-		}
-		return out.Apps[i].App < out.Apps[j].App
-	})
-	out.Deferrals = deferStats(pooled)
-	return out
 }

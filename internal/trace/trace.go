@@ -335,28 +335,31 @@ func (t *Trace) SplitByScreen() (on, off []NetworkActivity) {
 	return on, off
 }
 
-// ActivitiesOfDay returns the activities starting on the given day.
+// ActivitiesOfDay returns the activities starting on the given day, in
+// a fresh slice the caller may append to. It binary-searches the
+// start-sorted Activities that Validate requires, so it costs
+// O(day + log trace), not O(trace).
 func (t *Trace) ActivitiesOfDay(day int) []NetworkActivity {
-	var out []NetworkActivity
-	iv := simtime.Interval{Start: simtime.At(day, 0, 0, 0), End: simtime.At(day+1, 0, 0, 0)}
-	for _, a := range t.Activities {
-		if iv.Contains(a.Start) {
-			out = append(out, a)
-		}
-	}
-	return out
+	start, end := dayBounds(day)
+	lo := sort.Search(len(t.Activities), func(i int) bool { return t.Activities[i].Start >= start })
+	hi := lo + sort.Search(len(t.Activities)-lo, func(i int) bool { return t.Activities[lo+i].Start >= end })
+	return append([]NetworkActivity(nil), t.Activities[lo:hi]...)
 }
 
-// InteractionsOfDay returns the interactions on the given day.
+// InteractionsOfDay returns the interactions on the given day, in a
+// fresh slice the caller may append to. It binary-searches the
+// time-sorted Interactions that Validate requires, so it costs
+// O(day + log trace), not O(trace).
 func (t *Trace) InteractionsOfDay(day int) []Interaction {
-	var out []Interaction
-	iv := simtime.Interval{Start: simtime.At(day, 0, 0, 0), End: simtime.At(day+1, 0, 0, 0)}
-	for _, ia := range t.Interactions {
-		if iv.Contains(ia.Time) {
-			out = append(out, ia)
-		}
-	}
-	return out
+	start, end := dayBounds(day)
+	lo := sort.Search(len(t.Interactions), func(i int) bool { return t.Interactions[i].Time >= start })
+	hi := lo + sort.Search(len(t.Interactions)-lo, func(i int) bool { return t.Interactions[lo+i].Time >= end })
+	return append([]Interaction(nil), t.Interactions[lo:hi]...)
+}
+
+// dayBounds is the half-open span [start, end) of a trace-local day.
+func dayBounds(day int) (start, end simtime.Instant) {
+	return simtime.At(day, 0, 0, 0), simtime.At(day+1, 0, 0, 0)
 }
 
 // HourlyIntensity returns the 24-dimensional usage-intensity vector of a

@@ -1,6 +1,10 @@
 package trace
 
 import (
+	"fmt"
+	"math/rand"
+	"reflect"
+	"slices"
 	"testing"
 
 	"netmaster/internal/simtime"
@@ -352,5 +356,78 @@ func TestHorizonAndDayViewBounds(t *testing.T) {
 	}
 	if len(d2.Sessions)+len(d2.Activities)+len(d2.Interactions) != 0 {
 		t.Error("empty day view has events")
+	}
+}
+
+// linearOfDay is the whole-trace scan the day views replaced: the
+// reference their binary searches must agree with.
+func linearOfDay(t *Trace, day int) ([]NetworkActivity, []Interaction) {
+	iv := simtime.Interval{Start: simtime.At(day, 0, 0, 0), End: simtime.At(day+1, 0, 0, 0)}
+	var acts []NetworkActivity
+	for _, a := range t.Activities {
+		if iv.Contains(a.Start) {
+			acts = append(acts, a)
+		}
+	}
+	var ias []Interaction
+	for _, ia := range t.Interactions {
+		if iv.Contains(ia.Time) {
+			ias = append(ias, ia)
+		}
+	}
+	return acts, ias
+}
+
+// TestOfDayMatchesLinearScan: ActivitiesOfDay and InteractionsOfDay
+// return exactly what a scan of the whole trace returns, for every day
+// (and the days just outside the trace) of random valid traces whose
+// events sit exactly on midnights, in the last second of a day, and on
+// the first and last day. Each result is a fresh slice: appending to it
+// leaves the trace alone.
+func TestOfDayMatchesLinearScan(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	for n := 0; n < 200; n++ {
+		days := 1 + rng.Intn(5)
+		tr := &Trace{UserID: "u", Days: days}
+		var times []simtime.Instant
+		for k := rng.Intn(40); k > 0; k-- {
+			switch rng.Intn(5) {
+			case 0:
+				times = append(times, simtime.At(rng.Intn(days), 0, 0, 0))
+			case 1:
+				times = append(times, simtime.At(rng.Intn(days)+1, 0, 0, 0)-1)
+			case 2:
+				times = append(times, 0, simtime.At(days, 0, 0, 0)-1)
+			default:
+				times = append(times, simtime.Instant(rng.Int63n(int64(simtime.At(days, 0, 0, 0)))))
+			}
+		}
+		slices.Sort(times)
+		for i, ti := range times {
+			tr.Activities = append(tr.Activities, NetworkActivity{App: AppID(fmt.Sprint(i)), Start: ti, BytesDown: int64(i)})
+			tr.Interactions = append(tr.Interactions, Interaction{Time: ti, App: AppID(fmt.Sprint(i))})
+		}
+		if err := tr.Validate(); err != nil {
+			t.Fatal(err)
+		}
+		for day := -1; day <= days; day++ {
+			wantActs, wantIas := linearOfDay(tr, day)
+			acts, ias := tr.ActivitiesOfDay(day), tr.InteractionsOfDay(day)
+			if !reflect.DeepEqual(acts, wantActs) || !reflect.DeepEqual(ias, wantIas) {
+				t.Fatalf("trace %d, day %d of %d: got %v / %v, want %v / %v", n, day, days, acts, ias, wantActs, wantIas)
+			}
+			beforeActs, beforeIas := slices.Clone(tr.Activities), slices.Clone(tr.Interactions)
+			_ = append(acts, NetworkActivity{App: "appended"})
+			_ = append(ias, Interaction{App: "appended"})
+			for i := range acts {
+				acts[i].App = "overwritten"
+			}
+			for i := range ias {
+				ias[i].App = "overwritten"
+			}
+			if !reflect.DeepEqual(tr.Activities, beforeActs) || !reflect.DeepEqual(tr.Interactions, beforeIas) {
+				t.Fatalf("trace %d, day %d: writing to a day view changed the trace", n, day)
+			}
+		}
 	}
 }
