@@ -29,15 +29,6 @@ func ResolveModel(name string) (*power.Model, error) {
 	}
 }
 
-// Workers resolves a -parallelism value to an effective worker count:
-// non-positive means the process-wide default.
-func Workers(parallelism int) int {
-	if parallelism <= 0 {
-		return parallel.DefaultWorkers()
-	}
-	return parallelism
-}
-
 // registerModel installs the shared -model flag.
 func registerModel(fs *flag.FlagSet, dst *string, usage string) {
 	fs.StringVar(dst, "model", *dst, usage)

@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"netmaster/internal/cfgerr"
-	"netmaster/internal/parallel"
 	"netmaster/internal/power"
 )
 
@@ -29,21 +28,6 @@ func TestResolveModel(t *testing.T) {
 			t.Errorf("ResolveModel(%q): %v", tc.name, err)
 		case tc.want != "" && m.Name != tc.want:
 			t.Errorf("ResolveModel(%q) = %s, want %s", tc.name, m.Name, tc.want)
-		}
-	}
-}
-
-func TestWorkers(t *testing.T) {
-	def := parallel.DefaultWorkers()
-	for _, tc := range []struct{ in, want int }{
-		{0, def},
-		{-1, def},
-		{-64, def},
-		{1, 1},
-		{7, 7},
-	} {
-		if got := Workers(tc.in); got != tc.want {
-			t.Errorf("Workers(%d) = %d, want %d", tc.in, got, tc.want)
 		}
 	}
 }

@@ -13,9 +13,7 @@ import (
 	"fmt"
 	"math/rand"
 
-	"netmaster/internal/metrics"
 	"netmaster/internal/simtime"
-	"netmaster/internal/tracing"
 )
 
 // Scheme generates the sequence of sleep intervals between radio wake-ups.
@@ -160,32 +158,6 @@ func (r Result) WakeUpsBefore(t simtime.Instant) int {
 		}
 	}
 	return n
-}
-
-// Observe publishes a simulated duty cycle to the observability layer:
-// wake-up and radio-on totals under duty_* names, plus one KindDutyWake
-// trace event per wake carrying its window and whether activity was
-// detected. Both arguments are optional (nil-safe).
-func Observe(res Result, reg *metrics.Registry, sink *tracing.Sink) {
-	if reg == nil && sink == nil {
-		return
-	}
-	reg.Counter("duty_wakeups_total").Add(int64(len(res.WakeUps)))
-	reg.Counter("duty_radio_on_seconds_total").Add(int64(res.RadioOn))
-	active := 0
-	for _, w := range res.WakeUps {
-		if w.Activity {
-			active++
-		}
-		sink.Emit(tracing.Event{
-			Time:    w.At,
-			Kind:    tracing.KindDutyWake,
-			Dur:     w.Window,
-			Outcome: map[bool]string{true: "active", false: "silent"}[w.Activity],
-		})
-		reg.Advance(w.At.Add(w.Window))
-	}
-	reg.Counter("duty_active_wakeups_total").Add(int64(active))
 }
 
 // Simulate runs a scheme over [start, start+horizon) with the given wake

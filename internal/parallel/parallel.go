@@ -218,11 +218,6 @@ func MapN[T any](workers, n int, fn func(i int) (T, error)) ([]T, error) {
 	return out, nil
 }
 
-// MapCtx is Map with cancellation on the default worker pool.
-func MapCtx[T any](ctx context.Context, n int, fn func(i int) (T, error)) ([]T, error) {
-	return MapNCtx[T](ctx, DefaultWorkers(), n, fn)
-}
-
 // MapNCtx is MapN with cancellation; see ForEachNCtx for semantics.
 func MapNCtx[T any](ctx context.Context, workers, n int, fn func(i int) (T, error)) ([]T, error) {
 	if n <= 0 {

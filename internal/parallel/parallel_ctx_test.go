@@ -94,7 +94,7 @@ func TestMapCtxMatchesSequential(t *testing.T) {
 func TestMapCtxCancelledReturnsNil(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	got, err := MapCtx(ctx, 10, func(i int) (int, error) { return i, nil })
+	got, err := MapNCtx(ctx, DefaultWorkers(), 10, func(i int) (int, error) { return i, nil })
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}

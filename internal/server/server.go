@@ -523,16 +523,19 @@ func encodeEntry(rep *analyze.DeviceReport) ([]byte, error) {
 }
 
 // encodeFleetDoc writes doc to w as a 200, byte for byte as writeJSON
-// would, given each doc.Analysis.PerDevice report already encoded by
-// encodeEntry, in the same order. Only the small head of the document
-// is encoded here; the entries are streamed after it as they are, which
-// skips the re-indent an encoder applies to json.RawMessage or
-// Marshaler output, and never holds the whole document in memory.
+// would with doc.Analysis.PerDevice holding the fleet's device reports,
+// given each of them already encoded by encodeEntry, in device-ID
+// order; doc.Analysis.PerDevice itself is not read. Only the small head
+// of the document is encoded here; the entries are streamed after it as
+// they are, which skips the re-indent an encoder applies to
+// json.RawMessage or Marshaler output, and never holds the whole
+// document in memory.
 func encodeFleetDoc(w http.ResponseWriter, doc FleetReportResponse, entries [][]byte) error {
-	if len(entries) != len(doc.Analysis.PerDevice) {
-		return fmt.Errorf("fleet document: %d encoded entries for %d per_device reports",
-			len(entries), len(doc.Analysis.PerDevice))
+	if len(entries) != doc.Analysis.Devices {
+		return fmt.Errorf("fleet document: %d encoded entries for %d devices",
+			len(entries), doc.Analysis.Devices)
 	}
+	doc.Analysis.PerDevice = nil
 	if len(entries) == 0 {
 		body, err := encodeJSON(doc)
 		if err != nil {
@@ -540,7 +543,6 @@ func encodeFleetDoc(w http.ResponseWriter, doc FleetReportResponse, entries [][]
 		}
 		return writeRaw(w, http.StatusOK, body)
 	}
-	doc.Analysis.PerDevice = nil
 	head, err := encodeJSON(doc)
 	if err != nil {
 		return err

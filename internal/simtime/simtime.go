@@ -118,15 +118,6 @@ type Interval struct {
 	End   Instant
 }
 
-// NewInterval builds the interval [start, end). It panics if end < start,
-// which always indicates a programming error in the simulator.
-func NewInterval(start, end Instant) Interval {
-	if end < start {
-		panic(fmt.Sprintf("simtime: inverted interval [%v, %v)", start, end))
-	}
-	return Interval{Start: start, End: end}
-}
-
 // Len returns the interval's length; empty intervals have length 0.
 func (iv Interval) Len() Duration {
 	if iv.End <= iv.Start {
@@ -209,22 +200,6 @@ func MergeIntervals(ivs []Interval) []Interval {
 		}
 	}
 	return out
-}
-
-// TotalLen sums the lengths of the given intervals without merging; if
-// intervals may overlap, merge them first to avoid double counting.
-func TotalLen(ivs []Interval) Duration {
-	var total Duration
-	for _, iv := range ivs {
-		total += iv.Len()
-	}
-	return total
-}
-
-// CoveredLen returns the length of time covered by the union of ivs,
-// counting overlapping stretches once.
-func CoveredLen(ivs []Interval) Duration {
-	return TotalLen(MergeIntervals(ivs))
 }
 
 func sortIntervals(ivs []Interval) {

@@ -68,15 +68,6 @@ func Max(xs []float64) float64 {
 	return m
 }
 
-// Sum returns the sum of xs.
-func Sum(xs []float64) float64 {
-	var s float64
-	for _, x := range xs {
-		s += x
-	}
-	return s
-}
-
 // Pearson computes the Pearson correlation coefficient of two equal-length
 // vectors (Eq. 1 of the paper). It returns 0 when either vector is
 // constant, matching the paper's treatment of all-idle hours, and panics
@@ -221,50 +212,6 @@ func (e *ECDF) Points(n int) (xs, ys []float64) {
 		ys[i] = e.At(x)
 	}
 	return xs, ys
-}
-
-// Histogram bins a sample into nbins equal-width bins over [lo, hi).
-// Values outside the range are clamped into the first/last bin. It returns
-// the bin counts and the bin edges (nbins+1 values).
-func Histogram(sample []float64, lo, hi float64, nbins int) (counts []int, edges []float64) {
-	if nbins <= 0 {
-		panic("stats: Histogram with non-positive bin count")
-	}
-	if hi <= lo {
-		panic(fmt.Sprintf("stats: Histogram with empty range [%v, %v)", lo, hi))
-	}
-	counts = make([]int, nbins)
-	edges = make([]float64, nbins+1)
-	w := (hi - lo) / float64(nbins)
-	for i := range edges {
-		edges[i] = lo + w*float64(i)
-	}
-	for _, x := range sample {
-		b := int((x - lo) / w)
-		if b < 0 {
-			b = 0
-		}
-		if b >= nbins {
-			b = nbins - 1
-		}
-		counts[b]++
-	}
-	return counts, edges
-}
-
-// Normalize scales xs so it sums to 1; a zero-sum vector is returned
-// unchanged. The input is not modified.
-func Normalize(xs []float64) []float64 {
-	s := Sum(xs)
-	out := make([]float64, len(xs))
-	if s == 0 {
-		copy(out, xs)
-		return out
-	}
-	for i, x := range xs {
-		out[i] = x / s
-	}
-	return out
 }
 
 // Summary holds the basic descriptive statistics of a sample.

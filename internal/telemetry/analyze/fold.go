@@ -38,14 +38,21 @@ type foldDevice struct {
 // are folded in sorted-ID order. Fleet never mutates its inputs, so one
 // report may be shared by any number of concurrent folds. It is a Fold
 // built in bulk: every device is staged at once, so the pooled waits
-// are sorted once.
+// are sorted once. Unlike Fold.Report, it fills PerDevice, in ID order.
 func Fleet(reports []DeviceReport) FleetReport {
 	f := Fold{devs: make([]foldDevice, len(reports))}
 	for i := range reports {
 		f.devs[i].cur = &reports[i]
 	}
 	sort.SliceStable(f.devs, func(i, j int) bool { return f.devs[i].cur.Device < f.devs[j].cur.Device })
-	return f.Report()
+	out := f.Report()
+	if len(f.devs) > 0 {
+		out.PerDevice = make([]DeviceReport, len(f.devs))
+		for i, d := range f.devs {
+			out.PerDevice[i] = *d.cur
+		}
+	}
+	return out
 }
 
 // Set stages r as the report of device r.Device, replacing the one held
@@ -92,23 +99,20 @@ func (f *Fold) find(id string) (int, bool) {
 // Report rolls the held reports up to the cohort: integer totals sum
 // exactly, float sums add in sorted-ID order, the deferral distribution
 // comes from the exact pooled waits, and findings concatenate in device
-// order.
+// order. It leaves PerDevice nil: a fold's caller already holds the
+// device reports, so a copy of them on every read would go unread.
 func (f *Fold) Report() FleetReport {
 	f.mergeStaged()
 	out := FleetReport{
 		Devices: len(f.devs),
 		Slots:   make([]SlotScore, simtime.HoursPerDay),
 	}
-	if len(f.devs) > 0 {
-		out.PerDevice = make([]DeviceReport, len(f.devs))
-	}
 	for h := range out.Slots {
 		out.Slots[h].Hour = h
 	}
 	apps := map[string]*AppEnergy{}
-	for i, d := range f.devs {
+	for _, d := range f.devs {
 		r := d.cur
-		out.PerDevice[i] = *r
 		out.DeviceIDs = append(out.DeviceIDs, r.Device)
 		out.Events += r.Events
 		if r.Truncated {

@@ -274,13 +274,6 @@ func (s *Sink) WriteJSONL(w io.Writer) error {
 	return nil
 }
 
-// ReadJSONL parses events written by WriteJSONL, skipping the header
-// line when one is present (headerless pre-format-1 files still parse).
-func ReadJSONL(r io.Reader) ([]Event, error) {
-	_, evs, err := ReadJSONLWithHeader(r)
-	return evs, err
-}
-
 // ReadJSONLWithHeader parses a JSONL export into its header and events.
 // Headerless input yields a zero header (Format 0).
 func ReadJSONLWithHeader(r io.Reader) (Header, []Event, error) {

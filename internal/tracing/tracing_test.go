@@ -75,7 +75,7 @@ func TestJSONLRoundTrip(t *testing.T) {
 	if strings.Contains(strings.Split(buf.String(), "\n")[1], `"op"`) {
 		t.Fatalf("empty op serialised: %s", buf.String())
 	}
-	back, err := ReadJSONL(&buf)
+	_, back, err := ReadJSONLWithHeader(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -135,7 +135,7 @@ func TestNilSinkHeader(t *testing.T) {
 }
 
 func TestReadJSONLRejectsGarbage(t *testing.T) {
-	if _, err := ReadJSONL(strings.NewReader(`{"seq":0}{bogus`)); err == nil {
+	if _, _, err := ReadJSONLWithHeader(strings.NewReader(`{"seq":0}{bogus`)); err == nil {
 		t.Fatal("garbage accepted")
 	}
 }
